@@ -371,6 +371,22 @@ mod tests {
     }
 
     #[test]
+    fn loaded_history_cannot_select_a_kernel_unfit_for_the_size() {
+        // radix4 needs a power-of-four length; a history naming it for
+        // n = 1000 is stale and must fall through to pre-calculation.
+        let m = library::fft_model(1000);
+        let gen = HcgGen::new();
+        gen.load_history("FFT f32 1000 radix4 1\n");
+        let p = gen.generate(&m, Arch::Neon128).unwrap();
+        let fresh = HcgGen::new();
+        assert_eq!(p, fresh.generate(&m, Arch::Neon128).unwrap());
+        assert_eq!(gen.history_text(), fresh.history_text());
+        hcg_vm::Machine::new(&p, gen.library())
+            .step()
+            .expect("selected kernel runs at n = 1000");
+    }
+
+    #[test]
     fn threshold_option_suppresses_simd() {
         let m = library::single_batch_model(1024);
         let default_gen = HcgGen::new();

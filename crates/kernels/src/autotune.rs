@@ -1,6 +1,13 @@
 //! Algorithm 1 of the paper: adaptive pre-calculation that selects the
 //! optimal implementation for an intensive computing actor at its concrete
 //! input scale, with a selection history for quick re-synthesis.
+//!
+//! Pre-calculation keeps the cheapest candidate that runs on a random test
+//! input. Under the deterministic [`Meter::OpCount`] a candidate's cost is
+//! its analytic op count, known before it runs, so candidates are ranked by
+//! cost and run until one works: that one is the selection, and no costlier
+//! candidate executes. Under [`Meter::WallClock`] (the paper's methodology)
+//! cost is only known by running, so every candidate is timed.
 
 use crate::registry::{CodeLibrary, Kernel, KernelError, KernelSize};
 use hcg_model::{ActorKind, DataType, SignalType, Tensor};
@@ -15,10 +22,13 @@ use std::time::Instant;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Meter {
     /// Deterministic analytic operation counts — reproducible across
-    /// machines, used by tests and the default benchmark harness.
+    /// machines, used by tests and the default benchmark harness. Known
+    /// before a candidate runs, so candidates run cheapest first until one
+    /// works.
     OpCount,
     /// Wall-clock execution of the implementation on the generated test
     /// input, repeated `reps` times and summed — the paper's methodology.
+    /// Every candidate is timed.
     WallClock {
         /// Number of timed repetitions.
         reps: u32,
@@ -128,6 +138,11 @@ impl Autotuner {
     /// pre-calculation over the filtered implementation list (lines 7–17),
     /// then `storeSelection` (line 18).
     ///
+    /// Under [`Meter::OpCount`] the candidates are run cheapest first and
+    /// the first that runs wins; under [`Meter::WallClock`] every candidate
+    /// is timed. Both keep the minimum-cost candidate that runs, ties going
+    /// to the kernel earlier in the library list.
+    ///
     /// Returns the chosen kernel and whether it was served from history.
     ///
     /// # Errors
@@ -141,11 +156,30 @@ impl Autotuner {
         dtype: DataType,
         size: &KernelSize,
     ) -> Result<(&'lib Kernel, bool), SelectError> {
-        // Lines 3–6: history lookup.
+        let exhaustive = matches!(self.meter, Meter::WallClock { .. });
+        self.select_with(lib, actor, dtype, size, exhaustive)
+    }
+
+    fn select_with<'lib>(
+        &mut self,
+        lib: &'lib CodeLibrary,
+        actor: ActorKind,
+        dtype: DataType,
+        size: &KernelSize,
+        exhaustive: bool,
+    ) -> Result<(&'lib Kernel, bool), SelectError> {
+        // Lines 3–6: history lookup. A remembered kernel passes the
+        // lines 12–13 filters again, so a stale or hand-edited history
+        // entry is dropped instead of selecting a kernel that cannot run.
         let key = (actor, dtype, size.clone());
         if let Some(sel) = self.history.get(&key) {
-            if let Some(k) = lib.find(actor, &sel.impl_name) {
-                return Ok((k, true));
+            match lib.find(actor, &sel.impl_name) {
+                Some(k) if k.can_handle_dtype(dtype) && k.can_handle_size(size) => {
+                    return Ok((k, true));
+                }
+                _ => {
+                    self.history.remove(&key);
+                }
             }
         }
 
@@ -154,41 +188,27 @@ impl Autotuner {
         if impls.is_empty() {
             return Err(SelectError::NoImplementation(actor));
         }
-        // Line 8: start from the general implementation.
-        let mut best = lib
+        // Line 8: the general implementation.
+        let general = lib
             .general_for(actor)
             .ok_or(SelectError::NoImplementation(actor))?;
-        let mut min_cost = u64::MAX;
         // Line 10: random test input at the actor's input size.
         let test_input = generate_test_input(actor, dtype, size, self.seed);
-        let mut last_err = None;
-        let mut any_ok = false;
-        for imp in impls {
-            // Lines 12–13: dtype/size filters.
-            if !imp.can_handle_dtype(dtype) || !imp.can_handle_size(size) {
-                continue;
-            }
-            // Line 14: run and cost.
-            let cost = match self.measure(imp, size, &test_input) {
-                Ok(c) => c,
-                Err(e) => {
-                    last_err = Some(e);
-                    continue;
-                }
-            };
-            any_ok = true;
-            // Lines 15–17: keep the minimum.
-            if cost < min_cost {
-                best = imp;
-                min_cost = cost;
-            }
-        }
-        if !any_ok {
-            return Err(SelectError::AllFailed {
-                actor,
-                last: last_err.unwrap_or_else(|| KernelError("no candidate passed filters".into())),
-            });
-        }
+        // Lines 12–13: dtype/size filters, library order kept.
+        let candidates: Vec<&Kernel> = impls
+            .into_iter()
+            .filter(|imp| imp.can_handle_dtype(dtype) && imp.can_handle_size(size))
+            .collect();
+        // Lines 14–17: run, cost, keep the minimum.
+        let picked = if exhaustive {
+            self.scan(&candidates, size, &test_input)
+        } else {
+            cheapest_that_runs(&candidates, size, &test_input)
+        };
+        let (best, cost) = picked.map_err(|last| SelectError::AllFailed { actor, last })?;
+        // Line 8's general implementation stands unless a candidate that
+        // runs costs less than the initial `u64::MAX`.
+        let best = if cost == u64::MAX { general } else { best };
         // Line 18: store.
         self.history.insert(
             key,
@@ -197,10 +217,34 @@ impl Autotuner {
                 dtype,
                 size: size.clone(),
                 impl_name: best.name.to_owned(),
-                cost: min_cost,
+                cost,
             },
         );
         Ok((best, false))
+    }
+
+    /// Lines 14–17 as the paper writes them: measure every candidate and
+    /// keep the first of minimum cost. When none runs, the error is that of
+    /// the last failing candidate.
+    fn scan<'lib>(
+        &self,
+        candidates: &[&'lib Kernel],
+        size: &KernelSize,
+        input: &[Tensor],
+    ) -> Result<(&'lib Kernel, u64), KernelError> {
+        let mut best: Option<(&Kernel, u64)> = None;
+        let mut last_err = None;
+        for &imp in candidates {
+            match self.measure(imp, size, input) {
+                Ok(cost) => {
+                    if best.is_none_or(|(_, min)| cost < min) {
+                        best = Some((imp, cost));
+                    }
+                }
+                Err(e) => last_err = Some(e),
+            }
+        }
+        best.ok_or_else(|| last_err.unwrap_or_else(no_candidate))
     }
 
     fn measure(
@@ -212,6 +256,8 @@ impl Autotuner {
         // Always execute once: a kernel that cannot run must never win.
         imp.run(input)?;
         match self.meter {
+            // `select` ranks by op count without scanning
+            // (`cheapest_that_runs`); this arm serves the test oracle.
             Meter::OpCount => Ok(imp.op_count(size)),
             Meter::WallClock { reps } => {
                 let start = Instant::now();
@@ -293,6 +339,42 @@ impl Autotuner {
             );
         }
     }
+}
+
+/// Lines 14–17 under [`Meter::OpCount`]. A candidate's cost is its
+/// analytic op count, known before it runs, so the candidates are ranked by
+/// `(op count, library position)` and run in that order. The first that
+/// runs is the minimum the full scan keeps, ties going to the earlier
+/// kernel, and no costlier candidate executes. When none runs, the error is
+/// that of the failing candidate last in library order, as the scan
+/// reports it.
+fn cheapest_that_runs<'lib>(
+    candidates: &[&'lib Kernel],
+    size: &KernelSize,
+    input: &[Tensor],
+) -> Result<(&'lib Kernel, u64), KernelError> {
+    let mut ranked: Vec<(u64, usize, &Kernel)> = candidates
+        .iter()
+        .enumerate()
+        .map(|(pos, &imp)| (imp.op_count(size), pos, imp))
+        .collect();
+    ranked.sort_unstable_by_key(|&(cost, pos, _)| (cost, pos));
+    let mut last_err: Option<(usize, KernelError)> = None;
+    for (cost, pos, imp) in ranked {
+        match imp.run(input) {
+            Ok(_) => return Ok((imp, cost)),
+            Err(e) => {
+                if last_err.as_ref().is_none_or(|(last, _)| pos > *last) {
+                    last_err = Some((pos, e));
+                }
+            }
+        }
+    }
+    Err(last_err.map_or_else(no_candidate, |(_, e)| e))
+}
+
+fn no_candidate() -> KernelError {
+    KernelError("no candidate passed filters".into())
 }
 
 /// `generateTestInput(DataSize)` (Algorithm 1 line 10): random input
@@ -526,6 +608,258 @@ mod tests {
         let a = generate_test_input(ActorKind::Fft, DataType::F32, &KernelSize(vec![8]), 7);
         let b = generate_test_input(ActorKind::Fft, DataType::F32, &KernelSize(vec![8]), 7);
         assert_eq!(a[0], b[0]);
+    }
+
+    impl Autotuner {
+        /// The oracle for the cost-ordered path: exhaustive pre-calculation,
+        /// every candidate run and costed by this tuner's meter.
+        fn select_exhaustive<'lib>(
+            &mut self,
+            lib: &'lib CodeLibrary,
+            actor: ActorKind,
+            dtype: DataType,
+            size: &KernelSize,
+        ) -> Result<(&'lib Kernel, bool), SelectError> {
+            self.select_with(lib, actor, dtype, size, true)
+        }
+    }
+
+    /// 1-D sizes: everything up to 64, every larger power of two (and so of
+    /// four) up to 2048, and some primes and composites in between.
+    fn one_d_sizes() -> Vec<usize> {
+        let mut sizes: Vec<usize> = (1..=64).collect();
+        sizes.extend((7..=11).map(|p| 1usize << p));
+        sizes.extend([97, 100, 251, 509, 1000, 1021, 1500, 2039]);
+        sizes
+    }
+
+    fn size_grid(kind: ActorKind) -> Vec<KernelSize> {
+        use ActorKind::*;
+        let pairs = |a: &[usize], b: &[usize]| -> Vec<KernelSize> {
+            a.iter()
+                .flat_map(|&x| b.iter().map(move |&y| KernelSize(vec![x, y])))
+                .collect()
+        };
+        match kind {
+            Fft | Ifft | Dct | Idct => one_d_sizes()
+                .into_iter()
+                .map(|n| KernelSize(vec![n]))
+                .collect(),
+            // Both sides of the direct/via_fft crossover.
+            Conv => pairs(
+                &[1, 7, 64, 256, 1024],
+                &[1, 2, 4, 8, 16, 32, 64, 128, 256, 512],
+            ),
+            MatMul => (1..=5)
+                .flat_map(|r| {
+                    (1..=5).flat_map(move |k| (1..=5).map(move |c| KernelSize(vec![r, k, c])))
+                })
+                .collect(),
+            MatInv | MatDet => (1..=8).map(|n| KernelSize(vec![n])).collect(),
+            Fft2d | Dct2d => pairs(&[1, 2, 3, 4, 5, 8, 16], &[1, 2, 3, 4, 5, 8, 16]),
+            Conv2d => [(1, 1), (3, 4), (8, 8)]
+                .iter()
+                .flat_map(|&(r1, c1)| {
+                    [(1, 1), (2, 3), (3, 3)]
+                        .iter()
+                        .map(move |&(r2, c2)| KernelSize(vec![r1, c1, r2, c2]))
+                })
+                .collect(),
+            other => panic!("{other}: intensive kind without a size grid"),
+        }
+    }
+
+    fn outcome(
+        r: Result<(&Kernel, bool), SelectError>,
+    ) -> Result<(&'static str, bool), SelectError> {
+        r.map(|(k, from_history)| (k.name, from_history))
+    }
+
+    /// Select every `(dtype, size)` with both paths on `lib`, asserting the
+    /// same outcome each time and the same history at the end.
+    fn assert_matches_oracle(
+        lib: &CodeLibrary,
+        actor: ActorKind,
+        cases: &[(DataType, KernelSize)],
+    ) {
+        let mut ranked = Autotuner::new(Meter::OpCount);
+        let mut oracle = Autotuner::new(Meter::OpCount);
+        for (dtype, size) in cases {
+            let got = outcome(ranked.select(lib, actor, *dtype, size));
+            let want = outcome(oracle.select_exhaustive(lib, actor, *dtype, size));
+            assert_eq!(got, want, "{actor} {dtype} {size}");
+        }
+        assert_eq!(
+            ranked.history_to_text(),
+            oracle.history_to_text(),
+            "{actor}"
+        );
+    }
+
+    #[test]
+    fn cost_ordered_select_matches_exhaustive_scan() {
+        let lib = CodeLibrary::new();
+        let mut kinds = 0;
+        for actor in ActorKind::ALL {
+            if actor.class() != hcg_model::KindClass::Intensive {
+                continue;
+            }
+            kinds += 1;
+            let grid = size_grid(actor);
+            let mut cases: Vec<(DataType, KernelSize)> =
+                grid.iter().map(|s| (DataType::F32, s.clone())).collect();
+            // Integer inputs pass no filter: both paths report `AllFailed`.
+            cases.push((DataType::I32, grid[0].clone()));
+            // A repeated size is a history hit on both sides.
+            cases.push((DataType::F32, grid[grid.len() - 1].clone()));
+            assert_matches_oracle(&lib, actor, &cases);
+        }
+        assert!(kinds >= 10, "covered {kinds} intensive kinds");
+    }
+
+    macro_rules! refusing {
+        ($($f:ident),*) => {
+            $(fn $f(_: &[Tensor]) -> Result<Tensor, KernelError> {
+                Err(KernelError(stringify!($f).into()))
+            })*
+        };
+    }
+    refusing!(
+        refuse_generic,
+        refuse_naive_dft,
+        refuse_radix2,
+        refuse_radix4,
+        refuse_mixed,
+        refuse_bluestein
+    );
+
+    fn ops_max(_: &KernelSize) -> u64 {
+        u64::MAX
+    }
+
+    #[test]
+    fn cheapest_failing_candidate_yields_to_next_cheapest() {
+        let lib = CodeLibrary::new().with_run(ActorKind::Fft, "radix4", refuse_radix4);
+        let size = KernelSize(vec![1024]);
+        let mut t = Autotuner::new(Meter::OpCount);
+        let (k, _) = t
+            .select(&lib, ActorKind::Fft, DataType::F32, &size)
+            .unwrap();
+        assert_eq!(
+            k.name, "radix2",
+            "radix4 is cheapest at 1024 but cannot run"
+        );
+        assert_eq!(t.history_for(ActorKind::Fft)[0].cost, k.op_count(&size));
+        let sizes: Vec<_> = [16, 64, 256, 1024, 1000]
+            .into_iter()
+            .map(|n| (DataType::F32, KernelSize(vec![n])))
+            .collect();
+        assert_matches_oracle(&lib, ActorKind::Fft, &sizes);
+    }
+
+    #[test]
+    fn all_failing_reports_last_failure_in_library_order() {
+        let lib = CodeLibrary::new()
+            .with_run(ActorKind::Fft, "generic", refuse_generic)
+            .with_run(ActorKind::Fft, "naive_dft", refuse_naive_dft)
+            .with_run(ActorKind::Fft, "radix2", refuse_radix2)
+            .with_run(ActorKind::Fft, "radix4", refuse_radix4)
+            .with_run(ActorKind::Fft, "mixed", refuse_mixed)
+            .with_run(ActorKind::Fft, "bluestein", refuse_bluestein);
+        let mut t = Autotuner::new(Meter::OpCount);
+        // naive_dft is the costliest, so it runs last; bluestein is listed last.
+        let err = t
+            .select(&lib, ActorKind::Fft, DataType::F32, &KernelSize(vec![1024]))
+            .unwrap_err();
+        assert_eq!(
+            err,
+            SelectError::AllFailed {
+                actor: ActorKind::Fft,
+                last: KernelError("refuse_bluestein".into())
+            }
+        );
+        assert_eq!(t.history_len(), 0);
+        let sizes: Vec<_> = [1, 4, 16, 1000, 1024]
+            .into_iter()
+            .map(|n| (DataType::F32, KernelSize(vec![n])))
+            .collect();
+        assert_matches_oracle(&lib, ActorKind::Fft, &sizes);
+    }
+
+    fn ops_one(_: &KernelSize) -> u64 {
+        1
+    }
+
+    #[test]
+    fn cost_ties_go_to_the_kernel_listed_first() {
+        let lib = CodeLibrary::new()
+            .with_ops(ActorKind::Fft, "bluestein", ops_one)
+            .with_ops(ActorKind::Fft, "mixed", ops_one)
+            .with_ops(ActorKind::Fft, "radix2", ops_one);
+        let mut t = Autotuner::new(Meter::OpCount);
+        let pick = |t: &mut Autotuner, n| {
+            t.select(&lib, ActorKind::Fft, DataType::F32, &KernelSize(vec![n]))
+                .unwrap()
+                .0
+                .name
+        };
+        assert_eq!(pick(&mut t, 1024), "radix2");
+        assert_eq!(pick(&mut t, 1000), "mixed");
+        let sizes: Vec<_> = [1, 16, 1000, 1024]
+            .into_iter()
+            .map(|n| (DataType::F32, KernelSize(vec![n])))
+            .collect();
+        assert_matches_oracle(&lib, ActorKind::Fft, &sizes);
+    }
+
+    #[test]
+    fn unmeasurable_candidates_leave_the_general_implementation() {
+        let mut lib = CodeLibrary::new().with_run(ActorKind::Fft, "generic", refuse_generic);
+        for k in [
+            "generic",
+            "naive_dft",
+            "radix2",
+            "radix4",
+            "mixed",
+            "bluestein",
+        ] {
+            lib = lib.with_ops(ActorKind::Fft, k, ops_max);
+        }
+        let size = KernelSize(vec![64]);
+        let mut t = Autotuner::new(Meter::OpCount);
+        let (k, _) = t
+            .select(&lib, ActorKind::Fft, DataType::F32, &size)
+            .unwrap();
+        assert_eq!(k.name, "generic");
+        assert_eq!(t.history_for(ActorKind::Fft)[0].cost, u64::MAX);
+        assert_matches_oracle(&lib, ActorKind::Fft, &[(DataType::F32, size)]);
+    }
+
+    #[test]
+    fn history_hit_reapplies_the_filters() {
+        let lib = CodeLibrary::new();
+        let size = KernelSize(vec![1000]);
+        let mut fresh = Autotuner::new(Meter::OpCount);
+        let (want, _) = fresh
+            .select(&lib, ActorKind::Fft, DataType::F32, &size)
+            .unwrap();
+        for stale in ["FFT f32 1000 radix4 1\n", "FFT f32 1000 no_such_kernel 1\n"] {
+            let mut t = Autotuner::new(Meter::OpCount);
+            t.load_history_text(stale);
+            let (k, from_history) = t
+                .select(&lib, ActorKind::Fft, DataType::F32, &size)
+                .unwrap();
+            assert!(!from_history, "{stale}");
+            assert_eq!(k.name, want.name, "{stale}");
+            assert_eq!(t.history_to_text(), fresh.history_to_text(), "{stale}");
+        }
+        // A stale entry that no kernel can replace is dropped, not kept.
+        let mut t = Autotuner::new(Meter::OpCount);
+        t.load_history_text("FFT i32 1024 radix4 1\n");
+        assert!(t
+            .select(&lib, ActorKind::Fft, DataType::I32, &KernelSize(vec![1024]))
+            .is_err());
+        assert_eq!(t.history_len(), 0);
     }
 
     #[test]

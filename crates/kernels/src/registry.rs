@@ -811,6 +811,39 @@ impl CodeLibrary {
 }
 
 #[cfg(test)]
+impl CodeLibrary {
+    /// A copy whose `actor`/`name` kernel runs `run_fn` instead.
+    pub(crate) fn with_run(
+        mut self,
+        actor: ActorKind,
+        name: &str,
+        run_fn: fn(&[Tensor]) -> Result<Tensor, KernelError>,
+    ) -> Self {
+        for k in self.kernels.iter_mut() {
+            if k.actor == actor && k.name == name {
+                k.run_fn = run_fn;
+            }
+        }
+        self
+    }
+
+    /// A copy whose `actor`/`name` kernel counts ops with `ops_fn` instead.
+    pub(crate) fn with_ops(
+        mut self,
+        actor: ActorKind,
+        name: &str,
+        ops_fn: fn(&KernelSize) -> u64,
+    ) -> Self {
+        for k in self.kernels.iter_mut() {
+            if k.actor == actor && k.name == name {
+                k.ops_fn = ops_fn;
+            }
+        }
+        self
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
 

@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
 # Full offline-safe verification: build, test, clippy (warnings are errors),
 # and the static analyzer over every example model. Run from anywhere.
+# Smoke runs write their JSON under target/ and never rewrite the committed
+# BENCH_*.json files.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -19,28 +21,28 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> lint example models"
 cargo run -q --release -p hcg-bench --bin lint -- examples/models/*.xml
 
-echo "==> static verification gate (prove the fleet, write BENCH_verify.json)"
+echo "==> static verification gate (prove the fleet; committed BENCH files are not rewritten)"
 cargo run -q --release -p hcg-bench --bin repro -- verify \
-    --json BENCH_verify.json --out target/repro_verify.txt
-grep -q '"all_equivalent": true' BENCH_verify.json
+    --json target/verify.json --out target/repro_verify.txt
+grep -q '"all_equivalent": true' target/verify.json
 
 echo "==> fleet smoke run (parallel vs sequential byte-identity + bench JSON)"
 cargo run -q --release -p hcg-bench --bin repro -- fleet --threads 2 \
-    --json BENCH_fleet.json --out target/repro_fleet.txt
+    --json target/fleet.json --out target/repro_fleet.txt
 
 echo "==> incremental smoke run (edit-replay byte-identity + bench JSON)"
 cargo run -q --release -p hcg-bench --bin repro -- incremental --seed 0 --edits 50 \
-    --json BENCH_incremental.json --out target/repro_incremental.txt
-grep -q '"identical_outputs": true' BENCH_incremental.json
+    --json target/incremental.json --out target/repro_incremental.txt
+grep -q '"identical_outputs": true' target/incremental.json
 
 echo "==> incremental identity gate (1,000 random edit sequences, release)"
 cargo test -q --release --test incremental_identity
 
 echo "==> search smoke run (calibrated beam vs greedy + verified gate, bench JSON)"
 cargo run -q --release -p hcg-bench --bin repro -- search --beam 4 --calibrate \
-    --iters 200 --json BENCH_search.json --out target/repro_search.txt
-grep -q '"beam_strictly_better"' BENCH_search.json
-grep -q '"all_proved": true' BENCH_search.json
+    --iters 200 --json target/search.json --out target/repro_search.txt
+grep -q '"beam_strictly_better"' target/search.json
+grep -q '"all_proved": true' target/search.json
 
 echo "==> fuzz smoke run (fixed seed, zero divergences expected)"
 cargo run -q --release -p hcg-bench --bin repro -- fuzz --seed 0 --iters 50 \
