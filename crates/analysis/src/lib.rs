@@ -13,9 +13,9 @@
 //!   registers, dead stores, never-read buffers), kernel-call aliasing and
 //!   per-arch lane-width checks.
 //!
-//! Unlike `hcg_vm::validate`, which reports the first problem it finds, the
-//! analyzer collects *every* diagnostic into a [`LintReport`] whose rendering
-//! is stable for golden tests.
+//! Beyond `hcg_vm::validate_all`'s structural defects, the analyzer
+//! collects *every* diagnostic, model and program alike, into a
+//! [`LintReport`] whose rendering is stable for golden tests.
 
 mod diagnostics;
 mod model_lints;

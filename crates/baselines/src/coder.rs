@@ -5,7 +5,7 @@ use hcg_core::dispatch::Dispatch;
 use hcg_core::pass::{dispatch_pass, Pass};
 use hcg_core::{CodeGenerator, GenContext, GenError, LoopStyle};
 use hcg_graph::{DfgInput, ValTree};
-use hcg_isa::{sets, Arch, InstrSet};
+use hcg_isa::{sets, Arch, InstrIndex, InstrSet};
 use hcg_kernels::CodeLibrary;
 use hcg_model::op::ElemOp;
 use hcg_model::{Actor, ActorKind, KindClass, PortRef};
@@ -31,13 +31,13 @@ impl SimulinkCoderGen {
     /// Coder only emits vector intrinsics for Intel targets; on ARM it
     /// "usually fails to identify batch computing actors" (§4.1, the FIR
     /// example) — modelled as: no NEON emission at all.
-    fn scattered_simd_set(arch: Arch) -> Option<&'static InstrSet> {
+    fn scattered_simd_set(arch: Arch) -> Option<(&'static InstrSet, &'static InstrIndex)> {
         match arch {
             Arch::Neon128 => None,
-            // Borrow the process-wide parse instead of re-parsing the .isa
-            // text every time a Coder baseline is constructed per fleet job
+            // Borrow the process-wide parse and index instead of rebuilding
+            // them every time a Coder baseline is constructed per fleet job
             // or service request.
-            Arch::Sse128 | Arch::Avx256 => Some(sets::builtin_indexed(arch).0),
+            Arch::Sse128 | Arch::Avx256 => Some(sets::builtin_indexed(arch)),
         }
     }
 
@@ -50,7 +50,7 @@ impl SimulinkCoderGen {
         actor: &Actor,
         op: ElemOp,
         len: usize,
-        set: &InstrSet,
+        (set, index): (&InstrSet, &InstrIndex),
     ) -> Result<bool, GenError> {
         let dtype = ctx.types.output(actor.id, 0).dtype;
         let lanes = ctx.prog.arch.lanes(dtype);
@@ -65,7 +65,7 @@ impl SimulinkCoderGen {
                 .collect(),
         };
         let Some((instr, matched)) =
-            hcg_graph::matching::find_instruction(set, dtype, lanes, &probe)
+            hcg_graph::matching::find_instruction_indexed(set, index, dtype, lanes, &probe)
         else {
             return Ok(false);
         };
@@ -208,10 +208,10 @@ impl CodeGenerator for SimulinkCoderGen {
                         continue;
                     }
                     // Scattered SIMD on Intel for batch-dispatched actors.
-                    if let (Some(set), Dispatch::Batch { op, len }) =
-                        (&simd, dispatch[aid.0].clone())
+                    if let (Some(simd), Dispatch::Batch { op, len }) =
+                        (simd, dispatch[aid.0].clone())
                     {
-                        if self.emit_scattered(ctx, &actor, op, len, set)? {
+                        if self.emit_scattered(ctx, &actor, op, len, simd)? {
                             continue;
                         }
                     }

@@ -1,12 +1,12 @@
-//! Instruction-selection micro-bench: the linear `candidates()` scan of
-//! `find_instruction` vs the bucketed `InstrIndex` lookup, over a
-//! representative candidate-tree mix (single-op hits, a compound hit, a
-//! shift-root hit and an unmatchable miss).
+//! Instruction-selection micro-bench: the bucketed `InstrIndex` lookup,
+//! bare and behind a per-region `MatchMemo`, over a representative
+//! candidate-tree mix (single-op hits, a compound hit, a shift-root hit and
+//! an unmatchable miss).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use hcg_graph::matching::{find_instruction, find_instruction_indexed, MatchMemo};
+use hcg_graph::matching::{find_instruction_indexed, MatchMemo};
 use hcg_graph::{DfgInput, ValTree};
-use hcg_isa::{sets, Arch, InstrIndex};
+use hcg_isa::{sets, Arch};
 use hcg_model::op::ElemOp;
 use hcg_model::DataType;
 use std::hint::black_box;
@@ -34,21 +34,13 @@ fn bench_instr_select(c: &mut Criterion) {
     let trees = tree_zoo();
     let mut group = c.benchmark_group("instr_select");
     for arch in Arch::ALL {
-        let set = sets::builtin(arch);
-        let index = InstrIndex::build(&set);
-        group.bench_with_input(BenchmarkId::new("linear", arch), &set, |b, set| {
-            b.iter(|| {
-                for t in &trees {
-                    black_box(find_instruction(set, DataType::I32, 4, black_box(t)));
-                }
-            });
-        });
-        group.bench_with_input(BenchmarkId::new("indexed", arch), &set, |b, set| {
+        let (set, index) = sets::builtin_indexed(arch);
+        group.bench_with_input(BenchmarkId::new("indexed", arch), set, |b, set| {
             b.iter(|| {
                 for t in &trees {
                     black_box(find_instruction_indexed(
                         set,
-                        &index,
+                        index,
                         DataType::I32,
                         4,
                         black_box(t),
@@ -56,14 +48,14 @@ fn bench_instr_select(c: &mut Criterion) {
                 }
             });
         });
-        group.bench_with_input(BenchmarkId::new("memoized", arch), &set, |b, set| {
+        group.bench_with_input(BenchmarkId::new("memoized", arch), set, |b, set| {
             b.iter(|| {
                 // Fresh memo per iteration: the realistic per-region shape,
                 // where repeated trees inside one region hit the cache.
                 let mut memo = MatchMemo::new();
                 for _ in 0..4 {
                     for t in &trees {
-                        black_box(memo.find(set, &index, DataType::I32, 4, black_box(t)));
+                        black_box(memo.find(set, index, DataType::I32, 4, black_box(t)));
                     }
                 }
             });

@@ -101,15 +101,11 @@ fn unwrap_jobs<T>(results: Vec<hcg_exec::JobResult<T>>) -> Vec<T> {
 /// **Table 2**: execution time of the six benchmarks on the paper's primary
 /// platform (ARM Cortex-A72-like, GCC-like), 10 000 iterations.
 ///
-/// Rows are computed on the work-stealing pool; they are deterministic
-/// (cost-model arithmetic, not wall clock), so any worker count produces
-/// identical rows in identical order.
-pub fn table2() -> Vec<ExecRow> {
-    table2_threads(0)
-}
-
-/// [`table2`] with an explicit worker count (`0` = available parallelism).
-pub fn table2_threads(threads: usize) -> Vec<ExecRow> {
+/// Rows are computed on the work-stealing pool with `threads` workers
+/// (`0` = available parallelism); they are deterministic (cost-model
+/// arithmetic, not wall clock), so any worker count produces identical
+/// rows in identical order.
+pub fn table2(threads: usize) -> Vec<ExecRow> {
     let platform = CostModel::new(Arch::Neon128, Compiler::GccLike);
     let sessions = benchmark_sessions();
     let jobs: Vec<_> = sessions
@@ -122,15 +118,11 @@ pub fn table2_threads(threads: usize) -> Vec<ExecRow> {
 /// **Figure 5**: the four platform sweeps, in the paper's subfigure order
 /// (ARM+GCC, Intel+GCC, ARM+Clang, Intel+Clang). One session per model is
 /// shared across all four platforms, so each model's front end runs once
-/// for the whole figure.
-pub fn fig5() -> Vec<(CostModel, Vec<ExecRow>)> {
-    fig5_threads(0)
-}
-
-/// [`fig5`] with an explicit worker count (`0` = available parallelism).
-/// All `platform × model` cells fan out as independent pool jobs; the
-/// deterministic result ordering reassembles the paper's subfigure layout.
-pub fn fig5_threads(threads: usize) -> Vec<(CostModel, Vec<ExecRow>)> {
+/// for the whole figure. All `platform × model` cells fan out as
+/// independent jobs on `threads` pool workers (`0` = available
+/// parallelism); the deterministic result ordering reassembles the paper's
+/// subfigure layout.
+pub fn fig5(threads: usize) -> Vec<(CostModel, Vec<ExecRow>)> {
     let sessions = benchmark_sessions();
     let platforms = paper_platforms();
     let jobs: Vec<_> = platforms
@@ -241,15 +233,10 @@ pub struct GenTimeRow {
 }
 
 /// **§4.1 generation-time claim**: all three tools complete generation in
-/// comparable time. Runs sequentially (one pool worker) so per-generator
-/// wall-clock is not skewed by sibling jobs on loaded machines.
-pub fn gentime(arch: Arch) -> Vec<GenTimeRow> {
-    gentime_threads(arch, 1)
-}
-
-/// [`gentime`] with an explicit worker count (`0` = available parallelism).
-/// Each model's three generator timings stay within one job, so a row's
-/// internal comparison is always apples-to-apples; more workers only
+/// comparable time. `threads` is the pool worker count (`0` = available
+/// parallelism); one worker keeps per-generator wall-clock free of sibling
+/// jobs. Each model's three generator timings stay within one job, so a
+/// row's internal comparison is always apples-to-apples; more workers only
 /// parallelise across models.
 pub fn gentime_threads(arch: Arch, threads: usize) -> Vec<GenTimeRow> {
     let time_one = |g: &dyn CodeGenerator, m: &Model| {
@@ -485,7 +472,7 @@ mod tests {
 
     #[test]
     fn table2_hcg_wins_every_model() {
-        for row in table2() {
+        for row in table2(0) {
             assert!(
                 row.hcg_s < row.simulink_s && row.hcg_s < row.dfsynth_s,
                 "{}: hcg={} simulink={} dfsynth={}",
@@ -501,7 +488,7 @@ mod tests {
     fn table2_improvements_have_paper_shape() {
         // Paper Table 2: improvements between ~40 % and ~76 %; intensive
         // models (FFT/DCT/Conv) improve more than batch models.
-        let rows = table2();
+        let rows = table2(0);
         for row in &rows {
             let i = row.improvement_vs_simulink();
             assert!(
@@ -528,7 +515,7 @@ mod tests {
 
     #[test]
     fn fig5_hcg_wins_everywhere() {
-        for (platform, rows) in fig5() {
+        for (platform, rows) in fig5(0) {
             for row in rows {
                 assert!(
                     row.hcg_s < row.simulink_s && row.hcg_s < row.dfsynth_s,
@@ -546,7 +533,7 @@ mod tests {
         // Intel+GCC: the Coder baseline's scattered SIMD on batch models is
         // hit by the spill penalty — its advantage over DFSynth shrinks or
         // inverts relative to Intel+Clang.
-        let all = fig5();
+        let all = fig5(0);
         let find = |arch: Arch, comp: Compiler| {
             all.iter()
                 .find(|(p, _)| p.arch == arch && p.compiler == comp)

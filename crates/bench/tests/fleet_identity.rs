@@ -41,18 +41,14 @@ fn parallel_fleet_is_byte_identical_to_sequential() {
 
 #[test]
 fn cost_tables_identical_across_thread_counts() {
-    use hcg_bench::experiments::{fig5_threads, table2_threads};
-    let reference = table2_threads(1);
+    use hcg_bench::experiments::{fig5, table2};
+    let reference = table2(1);
     assert_eq!(reference.len(), 6);
     for threads in [2usize, 8] {
-        assert_eq!(
-            table2_threads(threads),
-            reference,
-            "table2 threads={threads}"
-        );
+        assert_eq!(table2(threads), reference, "table2 threads={threads}");
     }
-    let fig5_reference = fig5_threads(1);
-    let fig5_parallel = fig5_threads(8);
+    let fig5_reference = fig5(1);
+    let fig5_parallel = fig5(8);
     assert_eq!(fig5_reference, fig5_parallel);
 }
 

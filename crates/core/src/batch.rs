@@ -53,18 +53,8 @@ impl BatchRegion {
 /// its op at the region's element type and lane count — otherwise fusing it
 /// into a region could leave Algorithm 2's matching loop with an unmappable
 /// node (integer division is the classic case), so it falls back to
-/// conventional translation instead.
-pub fn form_regions(
-    ctx: &GenContext<'_>,
-    dispatch: &[Dispatch],
-    set: &InstrSet,
-) -> Vec<BatchRegion> {
-    form_regions_indexed(ctx, dispatch, set, &InstrIndex::build(set))
-}
-
-/// [`form_regions`] with a caller-provided [`InstrIndex`] over `set`, so
-/// the qualification probes share the index the mapping stage uses instead
-/// of re-scanning the instruction set per actor.
+/// conventional translation instead. The qualification probes share the
+/// [`InstrIndex`] over `set` that the mapping stage uses.
 pub fn form_regions_indexed(
     ctx: &GenContext<'_>,
     dispatch: &[Dispatch],
@@ -289,7 +279,9 @@ fn build_dfg(ctx: &GenContext<'_>, region: &BatchRegion) -> Result<(Dfg, Vec<Buf
 }
 
 /// Run the iterative mapping loop (Algorithm 2 lines 10–22) and return the
-/// ordered instruction plan.
+/// ordered instruction plan. With `trace` set, each round also appends a
+/// [`MapTrace`]; candidates are rendered only then, so the untraced loop
+/// does no extra work.
 ///
 /// The extension bounds are served from the index's per-(dtype, lanes)
 /// cache instead of re-scanning the instruction set, every candidate lookup
@@ -302,6 +294,7 @@ pub(crate) fn map_graph(
     index: &InstrIndex,
     lanes: usize,
     order: MatchOrder,
+    mut trace: Option<&mut Vec<MapTrace>>,
 ) -> Result<Vec<PlanStep>, GenError> {
     let bounds = index.bounds(g.dtype, lanes);
     let max_nodes = bounds.max_nodes.max(1);
@@ -314,6 +307,11 @@ pub(crate) fn map_graph(
         if order == MatchOrder::SmallestFirst {
             candidates.reverse();
         }
+        let rendered: Vec<String> = if trace.is_some() {
+            candidates.iter().map(|c| c.tree.to_string()).collect()
+        } else {
+            Vec::new()
+        };
         let mut chosen = None;
         for c in candidates {
             if let Some((instr, m)) = memo.find(set, index, g.dtype, lanes, &c.tree) {
@@ -332,6 +330,14 @@ pub(crate) fn map_graph(
                 g.node(start).op
             ))
         })?;
+        if let Some(trace) = trace.as_deref_mut() {
+            trace.push(MapTrace {
+                start: g.node(start).label.clone(),
+                candidates: rendered,
+                chosen: step.candidate.tree.to_string(),
+                instruction: step.instr.name.clone(),
+            });
+        }
         state.mark_computed(&step.candidate.nodes);
         plan.push(step);
     }
@@ -350,7 +356,7 @@ fn map_graph_with(
 ) -> Result<Vec<PlanStep>, GenError> {
     match options.mapping {
         MappingStrategy::Greedy | MappingStrategy::Beam { width: 0 | 1 } => {
-            map_graph(g, set, index, lanes, options.match_order)
+            map_graph(g, set, index, lanes, options.match_order, None)
         }
         MappingStrategy::Beam { width } => {
             MappingSearch::new(set, index, lanes, width, options.match_order).run(g)
@@ -380,7 +386,7 @@ pub fn concretize(pattern: &Pattern, amount: u32) -> Pattern {
 }
 
 /// A region's computed emission plan: the pure (read-only) half of
-/// Algorithm 2, produced by [`plan_region`] and realised by
+/// Algorithm 2, produced by [`plan_region_indexed`] and realised by
 /// [`emit_region_plan`]. Splitting planning from emission lets the
 /// `instruction-mapping` stage report what was selected before the
 /// `compose` stage mutates the program.
@@ -418,25 +424,9 @@ impl RegionPlan {
 
 /// Plan a batch region without touching the program: decide SIMD vs
 /// conventional fallback, build the dataflow graph, run the mapping loop
-/// (Algorithm 2 lines 10–22) and precompute output-variable-reuse
-/// redirects.
-///
-/// # Errors
-///
-/// Returns [`GenError`] when the region graph cannot be built or mapped.
-pub fn plan_region(
-    ctx: &GenContext<'_>,
-    region: &BatchRegion,
-    set: &InstrSet,
-    options: BatchOptions,
-) -> Result<RegionPlan, GenError> {
-    plan_region_indexed(ctx, region, set, &InstrIndex::build(set), options)
-}
-
-/// [`plan_region`] with a caller-provided [`InstrIndex`] over `set`. The
-/// pipeline builds the index once per program (region-formation stage) and
-/// reuses it for every region's mapping loop; `plan_region` itself remains
-/// as the convenience wrapper that builds a throwaway index.
+/// (Algorithm 2 lines 10–22) over the caller's [`InstrIndex`] for `set`
+/// and precompute output-variable-reuse redirects. The pipeline builds the
+/// index once per program and reuses it for every region.
 ///
 /// # Errors
 ///
@@ -447,6 +437,20 @@ pub fn plan_region_indexed(
     set: &InstrSet,
     index: &InstrIndex,
     options: BatchOptions,
+) -> Result<RegionPlan, GenError> {
+    plan_with(ctx, region, options, |g, lanes| {
+        map_graph_with(g, set, index, lanes, options)
+    })
+}
+
+/// The one planning body behind [`plan_region_indexed`] and
+/// [`plan_region_cached`]; `map` supplies the step list for the region's
+/// dataflow graph at its lane count.
+fn plan_with(
+    ctx: &GenContext<'_>,
+    region: &BatchRegion,
+    options: BatchOptions,
+    map: impl FnOnce(&Dfg, usize) -> Result<Vec<PlanStep>, GenError>,
 ) -> Result<RegionPlan, GenError> {
     let arch = ctx.prog.arch;
     // Line 1: BatchSize = VectorWidth / DataBitWidth.
@@ -463,7 +467,7 @@ pub fn plan_region_indexed(
     }
 
     let (g, externals) = build_dfg(ctx, region)?;
-    let steps = map_graph_with(&g, set, index, lanes, options)?;
+    let steps = map(&g, lanes)?;
     let redirect_outports = output_redirects(ctx, &g)?;
     Ok(RegionPlan {
         kind: RegionPlanKind::Simd {
@@ -475,9 +479,8 @@ pub fn plan_region_indexed(
     })
 }
 
-/// Output-variable reuse (shared by the one-shot and cached planners): a
-/// region output consumed only by an Outport stores straight into the
-/// outport's buffer, eliding the final copy.
+/// Output-variable reuse: a region output consumed only by an Outport
+/// stores straight into the outport's buffer, eliding the final copy.
 fn output_redirects(ctx: &GenContext<'_>, g: &Dfg) -> Result<Vec<(NodeId, ActorId)>, GenError> {
     let mut redirect_outports: Vec<(NodeId, ActorId)> = Vec::new();
     for &out in g.outputs() {
@@ -502,8 +505,9 @@ fn output_redirects(ctx: &GenContext<'_>, g: &Dfg) -> Result<Vec<(NodeId, ActorI
 /// emission, which [`plan_region_cached`] always rebuilds fresh — so a
 /// structurally unchanged region keeps its plan across model edits, and
 /// two isomorphic regions of one model share a single mapping run. Cached
-/// plans are only valid for the built-in instruction set of the arch they
-/// were computed on.
+/// plans are only valid for the instruction set they were computed on —
+/// the arch's set with one cost overlay — so [`crate::EditSession`] keeps
+/// one cache per (arch, overlay fingerprint).
 #[derive(Debug, Default)]
 pub struct PlanCache {
     steps: BTreeMap<String, Vec<PlanStep>>,
@@ -595,8 +599,8 @@ fn region_signature(
 /// [`plan_region_indexed`] backed by a [`PlanCache`]: the dataflow graph,
 /// externals and outport redirects are rebuilt fresh (they are cheap and
 /// carry buffer identities), while the mapping loop's step list is reused
-/// when the region's structure was planned before. With `set` the built-in
-/// set of the context's arch, the result is identical to the uncached
+/// when the region's structure was planned before. With `cache` only ever
+/// fed plans computed over `set`, the result is identical to the uncached
 /// planner — splicing a cached plan into a recompile is byte-exact by
 /// construction.
 ///
@@ -611,60 +615,21 @@ pub fn plan_region_cached(
     options: BatchOptions,
     cache: &mut PlanCache,
 ) -> Result<RegionPlan, GenError> {
-    let arch = ctx.prog.arch;
-    let lanes = arch.lanes(region.dtype);
-    let batch_count = region.len / lanes;
-    if batch_count < 1 || region.members.len() < options.simd_threshold {
-        return Ok(RegionPlan {
-            kind: RegionPlanKind::Conventional {
-                fallback_style: options.fallback_style,
-            },
-        });
-    }
-    let (g, externals) = build_dfg(ctx, region)?;
-    let key = region_signature(ctx, region, options.match_order, options.mapping);
-    let steps = match cache.steps.get(&key) {
-        Some(steps) => {
+    plan_with(ctx, region, options, |g, lanes| {
+        let key = region_signature(ctx, region, options.match_order, options.mapping);
+        if let Some(steps) = cache.steps.get(&key) {
             cache.hits += 1;
-            steps.clone()
+            return Ok(steps.clone());
         }
-        None => {
-            cache.misses += 1;
-            let steps = map_graph_with(&g, set, index, lanes, options)?;
-            cache.steps.insert(key, steps.clone());
-            steps
-        }
-    };
-    let redirect_outports = output_redirects(ctx, &g)?;
-    Ok(RegionPlan {
-        kind: RegionPlanKind::Simd {
-            dfg: g,
-            externals,
-            steps,
-            redirect_outports,
-        },
+        cache.misses += 1;
+        let steps = map_graph_with(g, set, index, lanes, options)?;
+        cache.steps.insert(key, steps.clone());
+        Ok(steps)
     })
 }
 
-/// Emit a whole batch region (Algorithm 2 in full): plan then realise.
-///
-/// # Errors
-///
-/// Returns [`GenError`] when the region graph cannot be built or mapped.
-pub fn emit_batch_region(
-    ctx: &mut GenContext<'_>,
-    region: &BatchRegion,
-    set: &InstrSet,
-    options: BatchOptions,
-) -> Result<(), GenError> {
-    let plan = plan_region(ctx, region, set, options)?;
-    emit_region_plan(ctx, region, &plan)
-}
-
 /// Realise a region plan: the mutating half of Algorithm 2 (register
-/// allocation, remainder code, loads/ops/stores, loop wrapping). Statement
-/// and register allocation order is identical to the pre-split
-/// `emit_batch_region`, so programs are byte-identical.
+/// allocation, remainder code, loads/ops/stores, loop wrapping).
 ///
 /// # Errors
 ///
@@ -815,9 +780,12 @@ pub struct MapTrace {
 }
 
 /// Narrate Algorithm 2 on one region: for each round, which node was
-/// selected, which subgraph candidates were extended (largest first), and
+/// selected, which subgraph candidates were extended (in `order`), and
 /// which instruction matched — the explanation the paper's Figure 4 walks
-/// through ("three subgraphs will be extended from the Sub node …").
+/// through ("three subgraphs will be extended from the Sub node …"). The
+/// narration is recorded by the greedy mapping loop itself, so it names
+/// exactly the instructions a greedy plan for the same region and order
+/// emits.
 ///
 /// # Errors
 ///
@@ -826,37 +794,14 @@ pub fn explain_region(
     ctx: &GenContext<'_>,
     region: &BatchRegion,
     set: &InstrSet,
+    index: &InstrIndex,
+    order: MatchOrder,
 ) -> Result<Vec<MapTrace>, GenError> {
     let lanes = ctx.prog.arch.lanes(region.dtype);
     let (g, _) = build_dfg(ctx, region)?;
-    let index = InstrIndex::build(set);
-    let bounds = index.bounds(g.dtype, lanes);
-    let max_nodes = bounds.max_nodes.max(1);
-    let max_depth = bounds.max_depth.max(1);
-    let mut memo = MatchMemo::new();
-    let mut state = MapState::new(&g);
-    let mut out = Vec::new();
-    while let Some(start) = top_left_node(&g, &state) {
-        let candidates = extend_subgraphs(&g, &state, start, max_nodes, max_depth);
-        let rendered: Vec<String> = candidates.iter().map(|c| c.tree.to_string()).collect();
-        let mut chosen = None;
-        for c in &candidates {
-            if let Some((instr, _)) = memo.find(set, &index, g.dtype, lanes, &c.tree) {
-                chosen = Some((c.clone(), instr.name.clone()));
-                break;
-            }
-        }
-        let (c, instruction) =
-            chosen.ok_or_else(|| GenError::Internal(format!("no instruction for node {start}")))?;
-        out.push(MapTrace {
-            start: g.node(start).label.clone(),
-            candidates: rendered,
-            chosen: c.tree.to_string(),
-            instruction,
-        });
-        state.mark_computed(&c.nodes);
-    }
-    Ok(out)
+    let mut trace = Vec::new();
+    map_graph(&g, set, index, lanes, order, Some(&mut trace))?;
+    Ok(trace)
 }
 
 /// Scalar code for the first `offset` elements (same computation logic as
@@ -933,13 +878,25 @@ mod tests {
         GenContext::new(model, arch, "test").unwrap()
     }
 
+    /// The batch regions of the context's model over the builtin set.
+    fn regions_of(ctx: &GenContext<'_>) -> Vec<BatchRegion> {
+        let d = crate::dispatch::classify_all(ctx.model, &ctx.types);
+        let (set, index) = sets::builtin_indexed(ctx.prog.arch);
+        form_regions_indexed(ctx, &d, set, index)
+    }
+
+    /// Plan and emit one region over the builtin set.
+    fn emit(ctx: &mut GenContext<'_>, region: &BatchRegion, options: BatchOptions) {
+        let (set, index) = sets::builtin_indexed(ctx.prog.arch);
+        let plan = plan_region_indexed(ctx, region, set, index, options).unwrap();
+        emit_region_plan(ctx, region, &plan).unwrap();
+    }
+
     #[test]
     fn fig4_forms_one_region_of_five() {
         let m = library::fig4_model();
         let ctx = ctx_for(&m, Arch::Neon128);
-        let d = crate::dispatch::classify_all(ctx.model, &ctx.types);
-        let set = sets::builtin(Arch::Neon128);
-        let regions = form_regions(&ctx, &d, &set);
+        let regions = regions_of(&ctx);
         assert_eq!(regions.len(), 1);
         assert_eq!(regions[0].members.len(), 5);
         assert_eq!(regions[0].len, 4);
@@ -950,10 +907,8 @@ mod tests {
     fn fig4_mapping_selects_listing1_instructions() {
         let m = library::fig4_model();
         let mut ctx = ctx_for(&m, Arch::Neon128);
-        let d = crate::dispatch::classify_all(ctx.model, &ctx.types);
-        let set = sets::builtin(Arch::Neon128);
-        let regions = form_regions(&ctx, &d, &set);
-        emit_batch_region(&mut ctx, &regions[0], &set, BatchOptions::default()).unwrap();
+        let regions = regions_of(&ctx);
+        emit(&mut ctx, &regions[0], BatchOptions::default());
         let prog = ctx.finish();
         let names: Vec<&str> = prog
             .body
@@ -976,10 +931,8 @@ mod tests {
         // len = 10, lanes = 4 → offset 2, loop from 2 to 10 step 4.
         let m = library::fig4_model_sized(10);
         let mut ctx = ctx_for(&m, Arch::Neon128);
-        let d = crate::dispatch::classify_all(ctx.model, &ctx.types);
-        let set = sets::builtin(Arch::Neon128);
-        let regions = form_regions(&ctx, &d, &set);
-        emit_batch_region(&mut ctx, &regions[0], &set, BatchOptions::default()).unwrap();
+        let regions = regions_of(&ctx);
+        emit(&mut ctx, &regions[0], BatchOptions::default());
         let prog = ctx.finish();
         let the_loop = prog
             .body
@@ -1001,10 +954,8 @@ mod tests {
         // len = 2 < lanes = 4 → BatchCount < 1 → conventionalTranslate.
         let m = library::fig4_model_sized(2);
         let mut ctx = ctx_for(&m, Arch::Neon128);
-        let d = crate::dispatch::classify_all(ctx.model, &ctx.types);
-        let set = sets::builtin(Arch::Neon128);
-        let regions = form_regions(&ctx, &d, &set);
-        emit_batch_region(&mut ctx, &regions[0], &set, BatchOptions::default()).unwrap();
+        let regions = regions_of(&ctx);
+        emit(&mut ctx, &regions[0], BatchOptions::default());
         let prog = ctx.finish();
         assert_eq!(prog.stmt_stats().vops, 0);
         assert!(prog.stmt_stats().scalar_ops > 0);
@@ -1014,14 +965,12 @@ mod tests {
     fn threshold_disables_simd() {
         let m = library::fig4_model();
         let mut ctx = ctx_for(&m, Arch::Neon128);
-        let d = crate::dispatch::classify_all(ctx.model, &ctx.types);
-        let set = sets::builtin(Arch::Neon128);
-        let regions = form_regions(&ctx, &d, &set);
+        let regions = regions_of(&ctx);
         let opts = BatchOptions {
             simd_threshold: 10,
             ..BatchOptions::default()
         };
-        emit_batch_region(&mut ctx, &regions[0], &set, opts).unwrap();
+        emit(&mut ctx, &regions[0], opts);
         assert_eq!(ctx.prog.stmt_stats().vops, 0);
     }
 
@@ -1031,10 +980,8 @@ mod tests {
         // instruction.
         let m = library::fig4_model_sized(8);
         let mut ctx = ctx_for(&m, Arch::Sse128);
-        let d = crate::dispatch::classify_all(ctx.model, &ctx.types);
-        let set = sets::builtin(Arch::Sse128);
-        let regions = form_regions(&ctx, &d, &set);
-        emit_batch_region(&mut ctx, &regions[0], &set, BatchOptions::default()).unwrap();
+        let regions = regions_of(&ctx);
+        emit(&mut ctx, &regions[0], BatchOptions::default());
         let prog = ctx.finish();
         let stats = prog.stmt_stats();
         // 5 nodes, no fusion on SSE integer ops → 5 vops.
@@ -1056,9 +1003,7 @@ mod tests {
             b.connect(div, 0, o, 0);
             let m = b.build().unwrap();
             let ctx = ctx_for(&m, Arch::Neon128);
-            let d = crate::dispatch::classify_all(ctx.model, &ctx.types);
-            let set = sets::builtin(Arch::Neon128);
-            let regions = form_regions(&ctx, &d, &set);
+            let regions = regions_of(&ctx);
             assert_eq!(regions.len(), expect_regions, "{dtype}");
         }
     }
@@ -1067,9 +1012,7 @@ mod tests {
     fn regions_record_read_write_effects() {
         let m = library::fig4_model();
         let ctx = ctx_for(&m, Arch::Neon128);
-        let d = crate::dispatch::classify_all(ctx.model, &ctx.types);
-        let set = sets::builtin(Arch::Neon128);
-        let regions = form_regions(&ctx, &d, &set);
+        let regions = regions_of(&ctx);
         let r = &regions[0];
         assert_eq!(r.writes, r.members.iter().copied().collect());
         // Reads cover the members plus their external inport drivers.
@@ -1119,10 +1062,10 @@ mod tests {
     fn explain_region_narrates_figure4() {
         let m = library::fig4_model();
         let ctx = ctx_for(&m, Arch::Neon128);
-        let d = crate::dispatch::classify_all(ctx.model, &ctx.types);
-        let set = sets::builtin(Arch::Neon128);
-        let regions = form_regions(&ctx, &d, &set);
-        let trace = explain_region(&ctx, &regions[0], &set).unwrap();
+        let regions = regions_of(&ctx);
+        let (set, index) = sets::builtin_indexed(Arch::Neon128);
+        let trace =
+            explain_region(&ctx, &regions[0], set, index, MatchOrder::LargestFirst).unwrap();
         assert_eq!(trace.len(), 3);
         assert_eq!(trace[0].start, "Sub");
         assert_eq!(trace[0].instruction, "vsubq_s32");
@@ -1132,14 +1075,59 @@ mod tests {
         assert_eq!(trace[2].instruction, "vmlaq_s32");
     }
 
+    /// `VOp` instruction names in emission order, loop bodies included.
+    fn vop_names(stmts: &[Stmt]) -> Vec<String> {
+        stmts
+            .iter()
+            .flat_map(|s| match s {
+                Stmt::VOp { instr, .. } => vec![instr.clone()],
+                Stmt::Loop { body, .. } => vop_names(body),
+                _ => Vec::new(),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn explanation_names_the_emitted_instructions() {
+        let mut checked = 0;
+        for m in library::paper_benchmarks() {
+            for arch in [Arch::Neon128, Arch::Avx256] {
+                for order in [MatchOrder::LargestFirst, MatchOrder::SmallestFirst] {
+                    let mut ctx = ctx_for(&m, arch);
+                    let (set, index) = sets::builtin_indexed(arch);
+                    let options = BatchOptions {
+                        match_order: order,
+                        ..BatchOptions::default()
+                    };
+                    for region in &regions_of(&ctx) {
+                        let explained: Vec<String> =
+                            explain_region(&ctx, region, set, index, order)
+                                .unwrap()
+                                .into_iter()
+                                .map(|t| t.instruction)
+                                .collect();
+                        let before = ctx.prog.body.len();
+                        emit(&mut ctx, region, options);
+                        assert_eq!(
+                            explained,
+                            vop_names(&ctx.prog.body[before..]),
+                            "{} on {arch}, {order:?}",
+                            m.name
+                        );
+                        checked += 1;
+                    }
+                }
+            }
+        }
+        assert!(checked > 0, "the paper models have batch regions");
+    }
+
     #[test]
     fn rendered_code_matches_listing1_shapes() {
         let m = library::fig4_model();
         let mut ctx = ctx_for(&m, Arch::Neon128);
-        let d = crate::dispatch::classify_all(ctx.model, &ctx.types);
-        let set = sets::builtin(Arch::Neon128);
-        let regions = form_regions(&ctx, &d, &set);
-        emit_batch_region(&mut ctx, &regions[0], &set, BatchOptions::default()).unwrap();
+        let regions = regions_of(&ctx);
+        emit(&mut ctx, &regions[0], BatchOptions::default());
         let codes: Vec<String> = ctx
             .prog
             .body

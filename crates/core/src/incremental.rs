@@ -15,22 +15,23 @@
 //!   survives any non-structural delta.
 //! * **splice** — batch-region *plans* (the expensive Algorithm-2
 //!   instruction mapping) are cached by a structural region signature in
-//!   a per-arch [`PlanCache`]; regions untouched by the dirty set admit
-//!   their cached step list and only dirty regions are re-mapped. The
-//!   whole program is then re-emitted deterministically, so the result is
-//!   byte-identical to a from-scratch compile *by construction* — the
-//!   cache only short-circuits work whose output is provably unchanged.
+//!   a [`PlanCache`] per instruction set; regions untouched by the dirty
+//!   set admit their cached step list and only dirty regions are
+//!   re-mapped. The whole program is then re-emitted deterministically,
+//!   so the result is byte-identical to a from-scratch compile *by
+//!   construction* — the cache only short-circuits work whose output is
+//!   provably unchanged.
 //!
 //! Counters land in [`IncrementalStats`] and the global
 //! [`MetricsRegistry`] (`incremental.*`); each phase opens an
 //! `incremental` span for the trace timeline.
 
-use crate::batch::{form_regions_probed, plan_region_cached, plan_region_indexed, PlanCache};
+use crate::batch::{form_regions_probed, plan_region_cached, PlanCache};
 use crate::dispatch::{classify, Dispatch};
 use crate::generator::{debug_lint, CodeGenerator, GenContext, GenError};
 use crate::hcg::{compose_into, HcgGen};
 use crate::pass::{PassManager, PipelineCtx};
-use hcg_isa::Arch;
+use hcg_isa::{Arch, CostOverlay};
 use hcg_kernels::{Autotuner, Meter};
 use hcg_model::delta::downstream_closure;
 use hcg_model::op::ElemOp;
@@ -121,10 +122,10 @@ pub struct EditSession {
     /// The dirty set consumed by the last rebuild — what `generate`
     /// charges region invalidation against.
     last_dirty: BTreeSet<String>,
-    /// Batch-admission probe results per arch (lane widths differ).
-    probe_memo: BTreeMap<Arch, BTreeMap<(ElemOp, DataType), bool>>,
-    /// Region-plan caches per arch.
-    plan_caches: BTreeMap<Arch, PlanCache>,
+    /// Admission probes and region plans per builtin instruction set,
+    /// keyed by (arch, cost-overlay fingerprint): both are only valid for
+    /// the set they were computed on.
+    memos: BTreeMap<(Arch, String), SetMemo>,
     /// Algorithm-1 selection history persisted across edits. Kernel
     /// selection is keyed by `(actor kind, dtype, size)` — untouched by
     /// any edit that leaves those alone — and quick-search *executes*
@@ -133,9 +134,16 @@ pub struct EditSession {
     /// [`Meter::OpCount`]: a wall-clock selection replayed from history
     /// could diverge from what a fresh compile would measure.
     tuner: Option<Autotuner>,
-    /// Finished programs for the current model, keyed by `generator|arch`.
-    programs: BTreeMap<String, Program>,
     stats: IncrementalStats,
+}
+
+/// The memos an [`EditSession`] keeps for one instruction set.
+#[derive(Debug, Default)]
+struct SetMemo {
+    /// Batch-admission probe results (see [`form_regions_probed`]).
+    probes: BTreeMap<(ElemOp, DataType), bool>,
+    /// Region plans by structural signature.
+    plans: PlanCache,
 }
 
 impl EditSession {
@@ -150,10 +158,8 @@ impl EditSession {
             prev_schedule: None,
             dirty: BTreeSet::new(),
             last_dirty: BTreeSet::new(),
-            probe_memo: BTreeMap::new(),
-            plan_caches: BTreeMap::new(),
+            memos: BTreeMap::new(),
             tuner: None,
-            programs: BTreeMap::new(),
             stats: IncrementalStats::default(),
         }
     }
@@ -170,8 +176,8 @@ impl EditSession {
 
     /// Apply a delta: update the model, mark the downstream closure of the
     /// touched actors dirty, and drop exactly the artifacts the edit can
-    /// affect (finished programs always; the schedule only for structural
-    /// deltas; per-actor types and dispatch stay for clean actors).
+    /// affect (the schedule only for structural deltas; per-actor types and
+    /// dispatch stay for clean actors).
     ///
     /// # Errors
     ///
@@ -188,7 +194,6 @@ impl EditSession {
         self.model = next;
         self.front = None;
         self.dispatch = None;
-        self.programs.clear();
         self.stats.edits_applied += 1;
         MetricsRegistry::global().counter_add("incremental.edits", 1);
         Ok(())
@@ -314,10 +319,6 @@ impl EditSession {
         generator: &dyn CodeGenerator,
         arch: Arch,
     ) -> Result<Program, GenError> {
-        let key = format!("{}|{arch}", generator.name());
-        if let Some(prog) = self.programs.get(&key) {
-            return Ok(prog.clone());
-        }
         self.ensure_front()?;
         let fe = match self.front.as_ref() {
             Some(Ok(fe)) => fe,
@@ -325,7 +326,7 @@ impl EditSession {
         };
         let dispatch = self.dispatch.as_ref().expect("dispatch set with front");
 
-        let prog = match generator.as_hcg() {
+        match generator.as_hcg() {
             Some(hcg) => {
                 let mut tuner = hcg.tuner().borrow_mut();
                 // Session history may only flow into a tuner that (a)
@@ -344,6 +345,20 @@ impl EditSession {
                         );
                     }
                 }
+                // A custom instruction set is private to its generator:
+                // its probes and plans go to a memo dropped after this
+                // compile.
+                let mut private = SetMemo::default();
+                let memo = match hcg.options.instr_set {
+                    Some(_) => &mut private,
+                    None => {
+                        let overlay = hcg.options.cost_overlay.as_ref();
+                        let fingerprint = overlay.map(CostOverlay::fingerprint);
+                        self.memos
+                            .entry((arch, fingerprint.unwrap_or_default()))
+                            .or_default()
+                    }
+                };
                 let prog = generate_hcg(
                     &self.model,
                     fe,
@@ -351,15 +366,14 @@ impl EditSession {
                     hcg,
                     arch,
                     &mut tuner,
-                    self.probe_memo.entry(arch).or_default(),
-                    self.plan_caches.entry(arch).or_default(),
+                    memo,
                     &self.last_dirty,
                     &mut self.stats,
                 )?;
                 if reuse {
                     self.tuner = Some(tuner.clone());
                 }
-                prog
+                Ok(prog)
             }
             None => {
                 // Baseline generators are cheap (no instruction mapping):
@@ -373,17 +387,16 @@ impl EditSession {
                     generator.name(),
                 )?;
                 ctx.dispatch = Some(Cow::Borrowed(dispatch));
-                PassManager::new(generator.passes()).run(ctx)?.0
+                Ok(PassManager::new(generator.passes()).run(ctx)?.0)
             }
-        };
-        self.programs.insert(key, prog.clone());
-        Ok(prog)
+        }
     }
 }
 
 /// The incremental HCG back end: form regions (memoised admission
 /// probes), splice cached plans for clean regions, re-map dirty ones, and
-/// re-emit the whole program deterministically.
+/// re-emit the whole program deterministically. `memo` must belong to the
+/// generator's instruction set for `arch`.
 #[allow(clippy::too_many_arguments)]
 fn generate_hcg(
     model: &Model,
@@ -392,27 +405,14 @@ fn generate_hcg(
     hcg: &HcgGen,
     arch: Arch,
     tuner: &mut Autotuner,
-    probes: &mut BTreeMap<(ElemOp, DataType), bool>,
-    cache: &mut PlanCache,
+    memo: &mut SetMemo,
     dirty: &BTreeSet<String>,
     stats: &mut IncrementalStats,
 ) -> Result<Program, GenError> {
     let _span = hcg_obs::span("incremental", "splice");
-    // A configured instruction-set override invalidates both memos (they
-    // are keyed for the builtin sets only): fall back to fresh probes and
-    // uncached mapping.
-    let custom = hcg.options.instr_set.is_some();
     let (set, index) = hcg.instr_set_indexed(arch);
     let mut ctx = GenContext::with_artifacts(model, &fe.types, &fe.schedule, arch, hcg.name())?;
-
-    let mut fresh_probes = BTreeMap::new();
-    let regions = form_regions_probed(
-        &ctx,
-        dispatch,
-        &set,
-        &index,
-        if custom { &mut fresh_probes } else { probes },
-    );
+    let regions = form_regions_probed(&ctx, dispatch, &set, &index, &mut memo.probes);
 
     let dirty_ids: BTreeSet<ActorId> = model
         .actors
@@ -423,6 +423,7 @@ fn generate_hcg(
 
     let options = hcg.batch_options();
     let (mut admitted, mut invalidated, mut spliced) = (0u64, 0u64, 0u64);
+    let cache = &mut memo.plans;
     let mut plans = Vec::with_capacity(regions.len());
     for region in &regions {
         if region.touches(&dirty_ids) {
@@ -430,19 +431,15 @@ fn generate_hcg(
         } else {
             admitted += 1;
         }
-        let plan = if custom {
-            plan_region_indexed(&ctx, region, &set, &index, options)?
-        } else {
-            let (hits, misses) = (cache.hits, cache.misses);
-            let plan = plan_region_cached(&ctx, region, &set, &index, options, cache)?;
-            if cache.misses > misses {
-                spliced += 1;
-            }
-            stats.plan_hits += cache.hits - hits;
-            stats.plan_misses += cache.misses - misses;
-            plan
-        };
-        plans.push(plan);
+        let (hits, misses) = (cache.hits, cache.misses);
+        plans.push(plan_region_cached(
+            &ctx, region, &set, &index, options, cache,
+        )?);
+        if cache.misses > misses {
+            spliced += 1;
+        }
+        stats.plan_hits += cache.hits - hits;
+        stats.plan_misses += cache.misses - misses;
     }
 
     compose_into(
@@ -472,7 +469,7 @@ fn generate_hcg(
 mod tests {
     use super::*;
     use crate::emit::to_c_source;
-    use crate::HcgGen;
+    use crate::{HcgGen, HcgOptions};
     use hcg_model::delta::EditOp;
     use hcg_model::{library, ActorKind, Param};
 
@@ -647,17 +644,63 @@ mod tests {
     }
 
     #[test]
-    fn program_cache_serves_repeat_generates() {
+    fn plan_cache_serves_repeat_generates() {
         let mut session = EditSession::new(library::fig4_model());
         let hcg = HcgGen::new();
         let p1 = session.generate(&hcg, Arch::Neon128).unwrap();
-        let spliced = session.stats().plans_spliced;
+        let first = session.stats();
         let p2 = session.generate(&hcg, Arch::Neon128).unwrap();
         assert_eq!(to_c_source(&p1), to_c_source(&p2));
+        let second = session.stats();
+        assert_eq!(second.plans_spliced, first.plans_spliced, "no new mapping");
+        assert_eq!(second.plan_misses, first.plan_misses);
         assert_eq!(
-            session.stats().plans_spliced,
-            spliced,
-            "second generate is a program-cache hit, no new mapping"
+            second.plan_hits,
+            first.plan_hits + 1,
+            "the fig4 region is served from the plan cache"
         );
+    }
+
+    #[test]
+    fn differently_configured_generators_do_not_share_programs() {
+        let mut session = EditSession::new(library::fig4_model_sized(64));
+        let arch = Arch::Neon128;
+        let _ = session.generate(&HcgGen::new(), arch).unwrap();
+        let scalar = HcgGen::with_options(HcgOptions {
+            simd_threshold: 100,
+            ..HcgOptions::default()
+        });
+        let prog = session.generate(&scalar, arch).unwrap();
+        assert_eq!(prog.stmt_stats().vops, 0, "threshold 100 disables SIMD");
+        assert_eq!(prog, scalar.generate(session.model(), arch).unwrap());
+    }
+
+    #[test]
+    fn cost_overlays_do_not_share_plans() {
+        use crate::MappingStrategy;
+        let mut session = EditSession::new(library::fir_model(64, 4));
+        let arch = Arch::Neon128;
+        let beam = |cost_overlay| {
+            HcgGen::with_options(HcgOptions {
+                mapping: MappingStrategy::Beam { width: 8 },
+                cost_overlay,
+                ..HcgOptions::default()
+            })
+        };
+        let _ = session.generate(&beam(None), arch).unwrap();
+        session
+            .apply_delta(&ModelDelta::single(EditOp::SetParam {
+                name: "c1".into(),
+                param: "value".into(),
+                value: Param::Float(5.0),
+            }))
+            .unwrap();
+        let mut dear_mla = CostOverlay::new();
+        dear_mla.set_cost(arch, "vmlaq_s32", 4);
+        let overlaid = beam(Some(dear_mla));
+        let inc = session.generate(&overlaid, arch).unwrap();
+        let scratch = overlaid.generate(session.model(), arch).unwrap();
+        assert!(!to_c_source(&scratch).contains("vmlaq_s32"), "beam splits");
+        assert_eq!(inc, scratch);
     }
 }

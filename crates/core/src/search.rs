@@ -121,7 +121,7 @@ impl<'a> MappingSearch<'a> {
         // Incumbent: the greedy tiling. The search only ever improves on
         // it, so beam-mapped programs are never worse than greedy under
         // the scoring cost table.
-        let greedy = map_graph(g, self.set, self.index, self.lanes, self.order)?;
+        let greedy = map_graph(g, self.set, self.index, self.lanes, self.order, None)?;
         let mut best_cost = plan_cost(&greedy);
         let mut best_plan = greedy;
 

@@ -14,7 +14,8 @@
 //!   lints clean;
 //! * **xml-roundtrip** — `parse(emit(model))` reproduces the model and
 //!   byte-identical C for every generator × architecture;
-//! * **indexed-selection** — [`find_instruction`] and
+//! * **indexed-selection** — the linear reference scan
+//!   [`find_instruction_linear`] and the production
 //!   [`find_instruction_indexed`] pick the same instruction for every
 //!   candidate tree derived from the model's batch actors;
 //! * **fleet-identity** — compiling the case's job matrix on 1 thread and
@@ -24,16 +25,15 @@
 //! becomes a [`Divergence`], so the fuzz loop and the shrinker can treat
 //! "diverges" as a plain predicate.
 //!
-//! [`find_instruction`]: hcg_graph::matching::find_instruction
 //! [`find_instruction_indexed`]: hcg_graph::matching::find_instruction_indexed
 
 use hcg_baselines::{DfSynthGen, SimulinkCoderGen};
 use hcg_core::dispatch::{classify_all, Dispatch};
 use hcg_core::emit::to_c_source;
 use hcg_core::{CodeGenerator, HcgGen, HcgOptions, MappingStrategy, Reference};
-use hcg_graph::matching::{find_instruction, find_instruction_indexed};
+use hcg_graph::matching::{find_instruction_indexed, match_pattern, InstrMatch};
 use hcg_graph::{DfgInput, ValTree};
-use hcg_isa::{sets, Arch, InstrIndex};
+use hcg_isa::{sets, Arch, InstrSet, SimdInstr};
 use hcg_kernels::CodeLibrary;
 use hcg_model::parser::{model_from_xml, model_to_xml};
 use hcg_model::{ActorKind, Model, Tensor};
@@ -473,15 +473,35 @@ fn candidate_trees(model: &Model) -> Vec<(hcg_model::DataType, ValTree)> {
     out
 }
 
+/// The reference instruction selection (Algorithm 2 line 17) as a linear
+/// scan over the whole set: among matching candidates the one with the
+/// lowest issue cost wins, ties resolve to file order. The production
+/// [`find_instruction_indexed`] must pick the identical instruction.
+pub fn find_instruction_linear<'a>(
+    set: &'a InstrSet,
+    dtype: hcg_model::DataType,
+    lanes: usize,
+    tree: &ValTree,
+) -> Option<(&'a SimdInstr, InstrMatch)> {
+    let mut best: Option<(&SimdInstr, InstrMatch)> = None;
+    for instr in set.candidates(dtype, lanes) {
+        if let Some(m) = match_pattern(&instr.pattern, tree) {
+            if best.as_ref().is_none_or(|(b, _)| instr.cost < b.cost) {
+                best = Some((instr, m));
+            }
+        }
+    }
+    best
+}
+
 fn check_indexed_selection(model: &Model, divergences: &mut Vec<Divergence>) {
     let trees = candidate_trees(model);
     for arch in ORACLE_ARCHES {
-        let set = sets::builtin(arch);
-        let index = InstrIndex::build(&set);
+        let (set, index) = sets::builtin_indexed(arch);
         for (dtype, tree) in &trees {
             let lanes = arch.lanes(*dtype);
-            let linear = find_instruction(&set, *dtype, lanes, tree);
-            let indexed = find_instruction_indexed(&set, &index, *dtype, lanes, tree);
+            let linear = find_instruction_linear(set, *dtype, lanes, tree);
+            let indexed = find_instruction_indexed(set, index, *dtype, lanes, tree);
             // `SimdInstr`/`InstrMatch` carry no `PartialEq`; the Debug
             // rendering is total over both, so it is the identity witness.
             let l = format!("{linear:?}");

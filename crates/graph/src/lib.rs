@@ -11,7 +11,7 @@
 //!
 //! ```
 //! use hcg_graph::{Dfg, DfgInput, extend::{MapState, top_left_node, extend_subgraphs}};
-//! use hcg_graph::matching::find_instruction;
+//! use hcg_graph::matching::find_instruction_indexed;
 //! use hcg_isa::{sets, Arch};
 //! use hcg_model::{op::ElemOp, DataType};
 //!
@@ -22,11 +22,11 @@
 //! let a = g.add_node(ElemOp::Add, vec![DfgInput::External(0), DfgInput::Node(m)], "a")?;
 //! g.mark_output(a);
 //!
-//! let neon = sets::builtin(Arch::Neon128);
+//! let (neon, index) = sets::builtin_indexed(Arch::Neon128);
 //! let state = MapState::new(&g);
 //! let start = top_left_node(&g, &state).expect("graph not empty");
 //! let cands = extend_subgraphs(&g, &state, start, 2, 2);
-//! let (instr, _) = find_instruction(&neon, DataType::I32, 4, &cands[0].tree)
+//! let (instr, _) = find_instruction_indexed(neon, index, DataType::I32, 4, &cands[0].tree)
 //!     .expect("NEON fuses multiply-add");
 //! assert_eq!(instr.name, "vmlaq_s32");
 //! # Ok(())

@@ -122,37 +122,11 @@ fn match_arg(
 /// among matching candidates, the one with the lowest issue cost wins; ties
 /// resolve to file order.
 ///
-/// This is the reference linear scan; the synthesis hot path uses
-/// [`find_instruction_indexed`], which returns the identical selection
-/// without visiting instructions whose root op, dtype, or lanes cannot
-/// match.
-pub fn find_instruction<'a>(
-    set: &'a InstrSet,
-    dtype: DataType,
-    lanes: usize,
-    tree: &ValTree,
-) -> Option<(&'a SimdInstr, InstrMatch)> {
-    let mut best: Option<(&SimdInstr, InstrMatch)> = None;
-    for instr in set.candidates(dtype, lanes) {
-        if let Some(m) = match_pattern(&instr.pattern, tree) {
-            let better = match &best {
-                Some((b, _)) => instr.cost < b.cost,
-                None => true,
-            };
-            if better {
-                best = Some((instr, m));
-            }
-        }
-    }
-    best
-}
-
-/// [`find_instruction`] served by an [`InstrIndex`] built over `set`.
-///
-/// The index buckets by (root op, dtype, lanes) and pre-sorts each bucket
-/// by (cost, file order), so the first pattern match in bucket order *is*
-/// the linear scan's min-by-cost / first-by-file-order winner — the
-/// selection is byte-identical, only the work is smaller.
+/// The [`InstrIndex`] built over `set` buckets by (root op, dtype, lanes)
+/// and pre-sorts each bucket by (cost, file order), so the first pattern
+/// match in bucket order *is* the winner, without visiting instructions
+/// whose root op, dtype, or lanes cannot match. (`hcg-fuzz` keeps a linear
+/// scan over the whole set as the reference this is checked against.)
 pub fn find_instruction_indexed<'a>(
     set: &'a InstrSet,
     index: &InstrIndex,
@@ -308,7 +282,13 @@ impl MatchMemo {
 mod tests {
     use super::*;
     use crate::dfg::NodeId;
-    use hcg_isa::{sets, Arch};
+    use hcg_isa::{sets, Arch, InstrIndex};
+
+    /// Best match for `tree` in the builtin set of `arch`.
+    fn find(arch: Arch, dtype: DataType, lanes: usize, tree: &ValTree) -> Option<String> {
+        let (set, index) = sets::builtin_indexed(arch);
+        find_instruction_indexed(set, index, dtype, lanes, tree).map(|(i, _)| i.name.clone())
+    }
 
     fn leaf(e: usize) -> ValTree {
         ValTree::Leaf(DfgInput::External(e))
@@ -401,98 +381,49 @@ mod tests {
 
     #[test]
     fn find_prefers_fused_over_sequence_and_cheapest_match() {
-        let neon = sets::builtin(Arch::Neon128);
+        let (neon, index) = sets::builtin_indexed(Arch::Neon128);
         // Add(x, Mul(y, z)) should select vmlaq_s32.
         let t = op(
             ElemOp::Add,
             vec![leaf(0), op(ElemOp::Mul, vec![leaf(1), leaf(2)])],
         );
-        let (instr, m) = find_instruction(&neon, DataType::I32, 4, &t).unwrap();
+        let (instr, m) = find_instruction_indexed(neon, index, DataType::I32, 4, &t).unwrap();
         assert_eq!(instr.name, "vmlaq_s32");
         assert_eq!(m.bindings.len(), 3);
         // Plain Add selects vaddq_s32 (cost 1), not anything fused.
         let t2 = op(ElemOp::Add, vec![leaf(0), leaf(1)]);
-        let (instr2, _) = find_instruction(&neon, DataType::I32, 4, &t2).unwrap();
-        assert_eq!(instr2.name, "vaddq_s32");
+        assert_eq!(
+            find(Arch::Neon128, DataType::I32, 4, &t2).unwrap(),
+            "vaddq_s32"
+        );
     }
 
     #[test]
     fn find_respects_dtype_and_lanes() {
-        let neon = sets::builtin(Arch::Neon128);
         let t = op(ElemOp::Add, vec![leaf(0), leaf(1)]);
-        assert!(find_instruction(&neon, DataType::I32, 4, &t).is_some());
-        assert!(find_instruction(&neon, DataType::I32, 8, &t).is_none());
-        assert!(find_instruction(&neon, DataType::U64, 2, &t).is_none());
+        assert!(find(Arch::Neon128, DataType::I32, 4, &t).is_some());
+        assert!(find(Arch::Neon128, DataType::I32, 8, &t).is_none());
+        assert!(find(Arch::Neon128, DataType::U64, 2, &t).is_none());
     }
 
     #[test]
     fn integer_div_has_no_instruction() {
-        let neon = sets::builtin(Arch::Neon128);
         let t = op(ElemOp::Div, vec![leaf(0), leaf(1)]);
-        assert!(find_instruction(&neon, DataType::I32, 4, &t).is_none());
-        assert!(find_instruction(&neon, DataType::F32, 4, &t).is_some());
-    }
-
-    #[test]
-    fn indexed_find_identical_to_linear_scan() {
-        // Exhaustive equivalence over every builtin set and a zoo of trees
-        // covering fused shapes, commutativity, wildcards and misses.
-        let trees = [
-            op(ElemOp::Add, vec![leaf(0), leaf(1)]),
-            op(ElemOp::Sub, vec![leaf(0), leaf(1)]),
-            op(ElemOp::Mul, vec![leaf(0), leaf(1)]),
-            op(ElemOp::Div, vec![leaf(0), leaf(1)]),
-            op(
-                ElemOp::Add,
-                vec![leaf(0), op(ElemOp::Mul, vec![leaf(1), leaf(2)])],
-            ),
-            op(
-                ElemOp::Add,
-                vec![op(ElemOp::Mul, vec![leaf(1), leaf(2)]), leaf(0)],
-            ),
-            op(
-                ElemOp::Shr(1),
-                vec![op(ElemOp::Add, vec![leaf(0), leaf(1)])],
-            ),
-            op(ElemOp::Shr(4), vec![leaf(0)]),
-            op(ElemOp::Shl(2), vec![leaf(0)]),
-            op(ElemOp::Min, vec![leaf(0), leaf(1)]),
-            op(ElemOp::Abs, vec![leaf(0)]),
-            op(
-                ElemOp::Sub,
-                vec![op(ElemOp::Add, vec![leaf(0), leaf(1)]), leaf(2)],
-            ),
-        ];
-        for arch in [Arch::Neon128, Arch::Sse128, Arch::Avx256] {
-            let set = sets::builtin(arch);
-            let index = hcg_isa::InstrIndex::build(&set);
-            for dtype in [DataType::I32, DataType::U8, DataType::F32, DataType::F64] {
-                for lanes in [2, 4, 8, 16] {
-                    for tree in &trees {
-                        let linear = find_instruction(&set, dtype, lanes, tree);
-                        let indexed = find_instruction_indexed(&set, &index, dtype, lanes, tree);
-                        assert_eq!(
-                            linear.as_ref().map(|(i, m)| (&i.name, m)),
-                            indexed.as_ref().map(|(i, m)| (&i.name, m)),
-                            "{arch} {dtype} x{lanes} on {tree}"
-                        );
-                    }
-                }
-            }
-        }
+        assert!(find(Arch::Neon128, DataType::I32, 4, &t).is_none());
+        assert!(find(Arch::Neon128, DataType::F32, 4, &t).is_some());
     }
 
     #[test]
     fn indexed_find_rejects_bare_leaf() {
         let set = sets::builtin(Arch::Neon128);
-        let index = hcg_isa::InstrIndex::build(&set);
+        let index = InstrIndex::build(&set);
         assert!(find_instruction_indexed(&set, &index, DataType::I32, 4, &leaf(0)).is_none());
     }
 
     #[test]
     fn memo_caches_hits_and_misses() {
         let set = sets::builtin(Arch::Neon128);
-        let index = hcg_isa::InstrIndex::build(&set);
+        let index = InstrIndex::build(&set);
         let mut memo = MatchMemo::new();
         let t = op(
             ElemOp::Add,
@@ -524,7 +455,7 @@ mod tests {
     fn find_all_is_cheapest_first_and_head_agrees_with_find() {
         for arch in [Arch::Neon128, Arch::Sse128, Arch::Avx256] {
             let set = sets::builtin(arch);
-            let index = hcg_isa::InstrIndex::build(&set);
+            let index = InstrIndex::build(&set);
             let trees = [
                 op(ElemOp::Add, vec![leaf(0), leaf(1)]),
                 op(
@@ -557,7 +488,7 @@ mod tests {
     #[test]
     fn memo_find_all_caches_and_counts() {
         let set = sets::builtin(Arch::Neon128);
-        let index = hcg_isa::InstrIndex::build(&set);
+        let index = InstrIndex::build(&set);
         let mut memo = MatchMemo::new();
         let t = op(
             ElemOp::Add,
@@ -619,16 +550,17 @@ mod tests {
         g.mark_output(shr);
         g.mark_output(add_m);
 
-        let neon = sets::builtin(Arch::Neon128);
-        let max_n = neon.max_nodes(DataType::I32, 4);
-        let max_d = neon.max_depth(DataType::I32, 4);
+        let (neon, index) = sets::builtin_indexed(Arch::Neon128);
+        let bounds = index.bounds(DataType::I32, 4);
         let mut state = MapState::new(&g);
         let mut selected = Vec::new();
         while let Some(start) = top_left_node(&g, &state) {
-            let cands = extend_subgraphs(&g, &state, start, max_n, max_d);
+            let cands = extend_subgraphs(&g, &state, start, bounds.max_nodes, bounds.max_depth);
             let mut chosen = None;
             for c in &cands {
-                if let Some((instr, _)) = find_instruction(&neon, DataType::I32, 4, &c.tree) {
+                if let Some((instr, _)) =
+                    find_instruction_indexed(neon, index, DataType::I32, 4, &c.tree)
+                {
                     chosen = Some((c.clone(), instr.name.clone()));
                     break;
                 }

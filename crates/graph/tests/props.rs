@@ -3,7 +3,7 @@
 //! are convex, independent and single-sink; matching is sound.
 
 use hcg_graph::extend::{extend_subgraphs, top_left_node, MapState};
-use hcg_graph::matching::{find_instruction, match_pattern};
+use hcg_graph::matching::{find_instruction_indexed, match_pattern};
 use hcg_graph::{Dfg, DfgInput, NodeId, ValTree};
 use hcg_isa::{sets, Arch, Pattern};
 use hcg_model::op::ElemOp;
@@ -69,7 +69,7 @@ proptest! {
     #[test]
     fn mapping_loop_total_coverage(seed in 1u64..3000, n_ext in 1usize..4, n_nodes in 1usize..14) {
         let g = random_dfg(seed, n_ext, n_nodes);
-        let set = sets::builtin(Arch::Neon128);
+        let (set, index) = sets::builtin_indexed(Arch::Neon128);
         let mut state = MapState::new(&g);
         let mut covered = vec![0usize; g.len_nodes()];
         let mut rounds = 0;
@@ -81,7 +81,7 @@ proptest! {
             // Pick the first matching candidate, like Algorithm 2 does.
             let chosen = cands
                 .iter()
-                .find(|c| find_instruction(&set, g.dtype, 4, &c.tree).is_some())
+                .find(|c| find_instruction_indexed(set, index, g.dtype, 4, &c.tree).is_some())
                 .unwrap_or_else(|| cands.last().expect("nonempty"));
             for n in &chosen.nodes {
                 covered[n.0] += 1;
@@ -126,11 +126,11 @@ proptest! {
     #[test]
     fn match_bindings_are_leaves(seed in 1u64..2000, n_nodes in 1usize..10) {
         let g = random_dfg(seed, 3, n_nodes);
-        let set = sets::builtin(Arch::Neon128);
+        let (set, index) = sets::builtin_indexed(Arch::Neon128);
         let state = MapState::new(&g);
         let Some(start) = top_left_node(&g, &state) else { return Ok(()); };
         for c in extend_subgraphs(&g, &state, start, 2, 2) {
-            if let Some((instr, m)) = find_instruction(&set, g.dtype, 4, &c.tree) {
+            if let Some((instr, m)) = find_instruction_indexed(set, index, g.dtype, 4, &c.tree) {
                 prop_assert_eq!(m.bindings.len(), instr.pattern.input_count());
                 let mut leaves = Vec::new();
                 collect_leaves(&c.tree, &mut leaves);

@@ -1,9 +1,9 @@
 //! Pre-bucketed instruction lookup for Algorithm 2's hot path.
 //!
-//! The iterative mapping loop calls `find_instruction` once per candidate
-//! subgraph, and the linear [`InstrSet::candidates`] filter re-scans the
-//! whole instruction set every time — plus the set's `max_depth`/`max_nodes`
-//! bounds were re-derived by two more full scans per region. An
+//! The iterative mapping loop looks up an instruction once per candidate
+//! subgraph; a linear [`InstrSet::candidates`] filter would re-scan the
+//! whole instruction set every time, and the `max_depth`/`max_nodes`
+//! extension bounds would take two more full scans per region. An
 //! [`InstrIndex`] is built once per (set, pipeline) and answers both
 //! queries from pre-computed buckets:
 //!
@@ -58,8 +58,8 @@ fn op_key(op: ElemOp) -> ElemOp {
 ///
 /// let neon = sets::builtin(Arch::Neon128);
 /// let index = InstrIndex::build(&neon);
-/// // Bounds served from cache, identical to the linear scans.
-/// assert_eq!(index.bounds(DataType::I32, 4).max_depth, neon.max_depth(DataType::I32, 4));
+/// // Extension bounds served from cache: vmlaq_s32 is Add(I1, Mul(I2, I3)).
+/// assert_eq!(index.bounds(DataType::I32, 4).max_depth, 2);
 /// // Only Add-rooted patterns are visited for an Add-rooted tree.
 /// let adds: Vec<_> = index
 ///     .candidates(&neon, ElemOp::Add, DataType::I32, 4)
@@ -82,7 +82,7 @@ pub struct InstrIndex {
 
 impl InstrIndex {
     /// Build the index over `set`. O(n log n) once, amortised across every
-    /// `find_instruction` call of a pipeline run.
+    /// instruction lookup of a pipeline run.
     pub fn build(set: &InstrSet) -> Self {
         crate::stats::record_index_build();
         let mut buckets: HashMap<(ElemOp, DataType, usize), Vec<u32>> = HashMap::new();
@@ -137,8 +137,8 @@ impl InstrIndex {
             .map(move |&pos| &set.instrs[pos as usize])
     }
 
-    /// Cached extension bounds for (dtype, lanes) — the values
-    /// [`InstrSet::max_depth`]/[`InstrSet::max_nodes`] scan for.
+    /// Cached extension bounds for (dtype, lanes): the deepest computing
+    /// graph and the largest node count among applicable instructions.
     pub fn bounds(&self, dtype: DataType, lanes: usize) -> GraphBounds {
         self.bounds
             .get(&(dtype, lanes))
@@ -146,12 +146,12 @@ impl InstrIndex {
             .unwrap_or_default()
     }
 
-    /// Cached [`InstrSet::max_depth`].
+    /// Cached deepest computing graph at (dtype, lanes).
     pub fn max_depth(&self, dtype: DataType, lanes: usize) -> usize {
         self.bounds(dtype, lanes).max_depth
     }
 
-    /// Cached [`InstrSet::max_nodes`].
+    /// Cached largest computing-graph node count at (dtype, lanes).
     pub fn max_nodes(&self, dtype: DataType, lanes: usize) -> usize {
         self.bounds(dtype, lanes).max_nodes
     }

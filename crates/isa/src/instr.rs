@@ -135,22 +135,20 @@ impl InstrSet {
             .filter(move |i| i.dtype == dtype && i.lanes == lanes)
     }
 
-    /// The deepest computing graph in the set (Algorithm 2 bounds subgraph
-    /// extension by this).
-    ///
-    /// This is the reference linear scan; the pipeline serves the same
-    /// value from [`crate::InstrIndex::max_depth`]'s per-(dtype, lanes)
-    /// cache instead of re-scanning per region.
-    pub fn max_depth(&self, dtype: DataType, lanes: usize) -> usize {
+    /// The deepest computing graph in the set: the linear-scan reference
+    /// for [`crate::InstrIndex::max_depth`], which Algorithm 2 reads.
+    #[cfg(test)]
+    pub(crate) fn max_depth(&self, dtype: DataType, lanes: usize) -> usize {
         self.candidates(dtype, lanes)
             .map(|i| i.pattern.depth())
             .max()
             .unwrap_or(0)
     }
 
-    /// The largest node count among computing graphs in the set (reference
-    /// linear scan; cached by [`crate::InstrIndex::max_nodes`]).
-    pub fn max_nodes(&self, dtype: DataType, lanes: usize) -> usize {
+    /// The largest node count among computing graphs in the set: the
+    /// linear-scan reference for [`crate::InstrIndex::max_nodes`].
+    #[cfg(test)]
+    pub(crate) fn max_nodes(&self, dtype: DataType, lanes: usize) -> usize {
         self.candidates(dtype, lanes)
             .map(|i| i.pattern.node_count())
             .max()

@@ -56,4 +56,4 @@ pub use program::{
     BufferDecl, BufferId, BufferKind, ElemRef, IndexExpr, Origin, Program, RegId, ScalarOp, Stmt,
     StmtStats,
 };
-pub use validate::{validate, validate_all, Defect, DefectKind, ValidateError};
+pub use validate::{validate_all, Defect, DefectKind};

@@ -4,26 +4,14 @@
 //! load/store, kernel calls resolvable, and no nested loops.
 //!
 //! [`validate_all`] walks the whole program and returns *every* defect as a
-//! structured [`Defect`]; [`validate`] is the original first-error wrapper
-//! that generators run in their test suites so malformed programs are
-//! reported as errors instead of interpreter panics. The `hcg-analysis`
-//! crate rehosts these defects as lint diagnostics.
+//! structured [`Defect`]; generator test suites assert it comes back empty
+//! so malformed programs are reported as defects instead of interpreter
+//! panics. The `hcg-analysis` crate rehosts these defects as lint
+//! diagnostics.
 
 use crate::program::{BufferId, ElemRef, IndexExpr, Program, RegId, ScalarOp, Stmt};
 use hcg_kernels::CodeLibrary;
 use std::fmt;
-
-/// A static defect found in a program.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ValidateError(String);
-
-impl fmt::Display for ValidateError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "invalid program: {}", self.0)
-    }
-}
-
-impl std::error::Error for ValidateError {}
 
 /// Classification of a static program defect.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -77,18 +65,6 @@ impl fmt::Display for Defect {
             "{:?} at stmt {:?}: {}",
             self.kind, self.stmt_path, self.message
         )
-    }
-}
-
-/// Validate a program against a kernel library, returning the first defect.
-///
-/// # Errors
-///
-/// Returns the first [`ValidateError`] found.
-pub fn validate(prog: &Program, lib: &CodeLibrary) -> Result<(), ValidateError> {
-    match validate_all(prog, lib).into_iter().next() {
-        Some(d) => Err(ValidateError(d.message)),
-        None => Ok(()),
     }
 }
 
@@ -390,7 +366,6 @@ mod tests {
                 }],
             }],
         });
-        validate(&p, &CodeLibrary::new()).unwrap();
         assert!(validate_all(&p, &CodeLibrary::new()).is_empty());
     }
 
@@ -413,7 +388,7 @@ mod tests {
                 }],
             }],
         });
-        assert!(validate(&p, &CodeLibrary::new()).is_err());
+        assert!(!validate_all(&p, &CodeLibrary::new()).is_empty());
     }
 
     #[test]
@@ -443,7 +418,7 @@ mod tests {
             srcs: vec![r], // needs two
             code: String::new(),
         });
-        assert!(validate(&p, &CodeLibrary::new()).is_err());
+        assert!(!validate_all(&p, &CodeLibrary::new()).is_empty());
     }
 
     #[test]
@@ -455,7 +430,7 @@ mod tests {
             inputs: vec![a],
             output: o,
         });
-        assert!(validate(&p, &CodeLibrary::new()).is_err());
+        assert!(!validate_all(&p, &CodeLibrary::new()).is_empty());
     }
 
     #[test]
@@ -481,7 +456,7 @@ mod tests {
                 },
             ],
         });
-        assert!(validate(&p, &CodeLibrary::new()).is_err());
+        assert!(!validate_all(&p, &CodeLibrary::new()).is_empty());
     }
 
     #[test]
@@ -493,7 +468,7 @@ mod tests {
             step: 0,
             body: vec![],
         });
-        assert!(validate(&p, &CodeLibrary::new()).is_err());
+        assert!(!validate_all(&p, &CodeLibrary::new()).is_empty());
     }
 
     #[test]
@@ -508,7 +483,6 @@ mod tests {
         let defects = validate_all(&p, &CodeLibrary::new());
         assert_eq!(defects.len(), 1);
         assert_eq!(defects[0].kind, DefectKind::VRegDtypeMismatch);
-        assert!(validate(&p, &CodeLibrary::new()).is_err());
     }
 
     #[test]

@@ -29,6 +29,7 @@ grep -q '"all_equivalent": true' target/verify.json
 echo "==> fleet smoke run (parallel vs sequential byte-identity + bench JSON)"
 cargo run -q --release -p hcg-bench --bin repro -- fleet --threads 2 \
     --json target/fleet.json --out target/repro_fleet.txt
+grep -q '"identical_outputs": true' target/fleet.json
 
 echo "==> incremental smoke run (edit-replay byte-identity + bench JSON)"
 cargo run -q --release -p hcg-bench --bin repro -- incremental --seed 0 --edits 50 \

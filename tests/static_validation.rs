@@ -6,7 +6,7 @@ use hcg::core::{CodeGenerator, HcgGen};
 use hcg::isa::Arch;
 use hcg::kernels::CodeLibrary;
 use hcg::model::library;
-use hcg::vm::validate;
+use hcg::vm::validate_all;
 use proptest::prelude::*;
 
 fn generators() -> Vec<Box<dyn CodeGenerator>> {
@@ -38,8 +38,13 @@ fn benchmark_programs_validate() {
         for arch in Arch::ALL {
             for g in generators() {
                 let p = g.generate(model, arch).expect("generates");
-                validate(&p, &lib)
-                    .unwrap_or_else(|e| panic!("{} for {} on {arch}: {e}", g.name(), model.name));
+                let defects = validate_all(&p, &lib);
+                assert!(
+                    defects.is_empty(),
+                    "{} for {} on {arch}: {defects:?}",
+                    g.name(),
+                    model.name
+                );
             }
         }
     }
@@ -60,11 +65,11 @@ proptest! {
         let arch = Arch::ALL[arch_pick];
         for g in generators() {
             let p = g.generate(&model, arch).expect("generates");
+            let defects = validate_all(&p, &lib);
             prop_assert!(
-                validate(&p, &lib).is_ok(),
-                "{} seed={seed} len={len} actors={actors} arch={arch}: {:?}",
-                g.name(),
-                validate(&p, &lib)
+                defects.is_empty(),
+                "{} seed={seed} len={len} actors={actors} arch={arch}: {defects:?}",
+                g.name()
             );
         }
     }
@@ -78,7 +83,7 @@ proptest! {
         for arch in Arch::ALL {
             for g in generators() {
                 let p = g.generate(&model, arch).expect("generates");
-                prop_assert!(validate(&p, &lib).is_ok(), "{} len={len} {arch}", g.name());
+                prop_assert!(validate_all(&p, &lib).is_empty(), "{} len={len} {arch}", g.name());
             }
         }
     }
