@@ -566,13 +566,12 @@ fn incremental_cmd(args: &cli::CommonArgs) {
     let overall = scratch_total / inc_total.max(1e-12);
     outln!("  overall speedup: {overall:.2}x (scratch {scratch_total:.3}s / incremental {inc_total:.3}s)");
     outln!("  incremental outputs byte-identical to scratch: {all_identical}");
-    let snap = hcg_obs::MetricsRegistry::global().snapshot();
     outln!(
         "  metrics: {} edits applied, {} regions admitted, {} invalidated, {} plans spliced",
-        snap.counter("incremental.edits").unwrap_or(0),
-        snap.counter("incremental.regions_admitted").unwrap_or(0),
-        snap.counter("incremental.regions_invalidated").unwrap_or(0),
-        snap.counter("incremental.plans_spliced").unwrap_or(0)
+        rows.iter().map(|r| r.edits).sum::<usize>(),
+        rows.iter().map(|r| r.regions_admitted).sum::<u64>(),
+        rows.iter().map(|r| r.regions_invalidated).sum::<u64>(),
+        rows.iter().map(|r| r.plans_spliced).sum::<u64>()
     );
     if let Some(path) = &args.json {
         let mut body = String::from("{\n  \"experiment\": \"incremental\",\n  \"models\": [\n");
@@ -608,20 +607,21 @@ fn incremental_cmd(args: &cli::CommonArgs) {
 
 fn search_cmd(args: &cli::CommonArgs) {
     heading("Search-based mapping — greedy vs beam region tilings, profile-guided calibration");
+    let before = hcg_core::search::stats();
     let report = run_search(args.beam, args.calibrate, args.seed, args.iters);
+    let after = hcg_core::search::stats();
     for line in render_search(&report).lines() {
         outln!("  {line}");
     }
-    let snap = hcg_obs::MetricsRegistry::global().snapshot();
     outln!(
         "  search metrics: {} run(s), {} state(s) expanded, {} pruned by lower bound, \
          {} tiling(s) completed, memo {} hit(s) / {} miss(es)",
-        snap.counter("search.runs").unwrap_or(0),
-        snap.counter("search.states_expanded").unwrap_or(0),
-        snap.counter("search.pruned_lb").unwrap_or(0),
-        snap.counter("search.tilings_completed").unwrap_or(0),
-        snap.counter("search.memo_hits").unwrap_or(0),
-        snap.counter("search.memo_misses").unwrap_or(0)
+        after.runs - before.runs,
+        after.states_expanded - before.states_expanded,
+        after.pruned_lb - before.pruned_lb,
+        after.tilings_completed - before.tilings_completed,
+        after.memo_hits - before.memo_hits,
+        after.memo_misses - before.memo_misses
     );
     if let Some(path) = &args.json {
         let body = search_json(&report);
@@ -744,15 +744,15 @@ fn profile_cmd(args: &cli::CommonArgs) {
         }
         outln!();
     }
-    let snap = hcg_obs::MetricsRegistry::global().snapshot();
     outln!(
         "  conservation: attributed == total cycles for all {} profiles",
         entries.len()
     );
+    let spans_of = |cat: &str| events.iter().filter(|e| e.cat == cat).count();
     outln!(
         "  metrics: {} pipeline run(s), {} pass(es) timed; {} trace span(s) captured",
-        snap.counter("pipeline.runs").unwrap_or(0),
-        snap.counter("pipeline.stages").unwrap_or(0),
+        spans_of("pipeline"),
+        spans_of("pass"),
         events.len()
     );
     outln!("\n  span tree (head):");
@@ -907,13 +907,13 @@ fn verify_cmd(args: &cli::CommonArgs) {
         }
     }
     let verify_spans = spans.iter().filter(|e| e.cat == "verify").count();
-    let snap = hcg_obs::MetricsRegistry::global().snapshot();
+    let proved = rows.iter().filter(|row| row.3.equivalent).count();
     outln!(
         "\n  {} program(s) verified, {} proved, {} divergent; {} expression node(s) interned",
-        snap.counter("verify.programs").unwrap_or(0),
-        snap.counter("verify.proved").unwrap_or(0),
-        snap.counter("verify.divergent").unwrap_or(0),
-        snap.counter("verify.exprs").unwrap_or(0)
+        rows.len(),
+        proved,
+        rows.len() - proved,
+        rows.iter().map(|row| row.3.exprs).sum::<usize>()
     );
     outln!("  {verify_spans} verify span(s) captured in the tracer");
 

@@ -22,9 +22,9 @@
 //!   construction* — the cache only short-circuits work whose output is
 //!   provably unchanged.
 //!
-//! Counters land in [`IncrementalStats`] and the global
-//! [`MetricsRegistry`] (`incremental.*`); each phase opens an
-//! `incremental` span for the trace timeline.
+//! Counters live in the session's [`IncrementalStats`]
+//! ([`EditSession::stats`]); each phase opens an `incremental` span for
+//! the trace timeline.
 
 use crate::batch::{form_regions_probed, plan_region_cached, PlanCache};
 use crate::dispatch::{classify, Dispatch};
@@ -37,7 +37,6 @@ use hcg_model::delta::downstream_closure;
 use hcg_model::op::ElemOp;
 use hcg_model::schedule::{schedule, Schedule};
 use hcg_model::{ActorId, DataType, FrontEnd, Model, ModelDelta, SignalType};
-use hcg_obs::MetricsRegistry;
 use hcg_vm::Program;
 use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
@@ -195,7 +194,6 @@ impl EditSession {
         self.front = None;
         self.dispatch = None;
         self.stats.edits_applied += 1;
-        MetricsRegistry::global().counter_add("incremental.edits", 1);
         Ok(())
     }
 
@@ -339,10 +337,6 @@ impl EditSession {
                     if let Some(saved) = &self.tuner {
                         tuner.adopt_history(saved);
                         self.stats.kernel_selections_reused += saved.history_len() as u64;
-                        MetricsRegistry::global().counter_add(
-                            "incremental.kernel_selections_reused",
-                            saved.history_len() as u64,
-                        );
                     }
                 }
                 // A custom instruction set is private to its generator:
@@ -455,10 +449,6 @@ fn generate_hcg(
     stats.regions_admitted += admitted;
     stats.regions_invalidated += invalidated;
     stats.plans_spliced += spliced;
-    let metrics = MetricsRegistry::global();
-    metrics.counter_add("incremental.regions_admitted", admitted);
-    metrics.counter_add("incremental.regions_invalidated", invalidated);
-    metrics.counter_add("incremental.plans_spliced", spliced);
 
     let prog = ctx.finish();
     debug_lint(&prog);

@@ -1,6 +1,6 @@
 //! The staged pipeline layer: named generator [`Pass`]es run over a
-//! [`PipelineCtx`] by a [`PassManager`] that times every stage, tracks
-//! counter deltas, and runs the analyzer between stages.
+//! [`PipelineCtx`] by a [`PassManager`] that times every stage, gives
+//! each stage its own work counters, and runs the analyzer between stages.
 //!
 //! Each [`crate::CodeGenerator`] describes itself as a list of passes
 //! (HCG: `dispatch` → `region-formation` → `instruction-mapping` →
@@ -19,8 +19,8 @@ use std::borrow::Cow;
 use std::fmt;
 use std::time::Instant;
 
-/// Work counters accumulated across a pipeline run. Each [`StageRecord`]
-/// stores the *delta* its stage contributed.
+/// Work counters of one pipeline stage. Each [`StageRecord`] stores what
+/// its stage counted; [`StageReport::totals`] sums them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct StageCounters {
     /// Actors routed through dispatch classification.
@@ -37,23 +37,8 @@ pub struct StageCounters {
 }
 
 impl StageCounters {
-    /// Component-wise `self - earlier` (saturating; counters only grow).
-    pub fn delta(self, earlier: StageCounters) -> StageCounters {
-        StageCounters {
-            actors_dispatched: self
-                .actors_dispatched
-                .saturating_sub(earlier.actors_dispatched),
-            regions_formed: self.regions_formed.saturating_sub(earlier.regions_formed),
-            instructions_selected: self
-                .instructions_selected
-                .saturating_sub(earlier.instructions_selected),
-            nodes_fused: self.nodes_fused.saturating_sub(earlier.nodes_fused),
-            kernel_calls: self.kernel_calls.saturating_sub(earlier.kernel_calls),
-        }
-    }
-
-    /// Component-wise accumulate `other` into `self` — the single summing
-    /// primitive behind [`StageReport::totals`] and registry emission.
+    /// Component-wise accumulate `other` into `self` — the summing
+    /// primitive behind [`StageReport::totals`].
     pub fn add(&mut self, other: StageCounters) {
         self.actors_dispatched += other.actors_dispatched;
         self.regions_formed += other.regions_formed;
@@ -61,25 +46,9 @@ impl StageCounters {
         self.nodes_fused += other.nodes_fused;
         self.kernel_calls += other.kernel_calls;
     }
-
-    /// Record every counter into a metrics registry under
-    /// `<prefix>.<field>` names.
-    pub fn record(&self, registry: &hcg_obs::MetricsRegistry, prefix: &str) {
-        registry.counter_add(
-            &format!("{prefix}.actors_dispatched"),
-            self.actors_dispatched,
-        );
-        registry.counter_add(&format!("{prefix}.regions_formed"), self.regions_formed);
-        registry.counter_add(
-            &format!("{prefix}.instructions_selected"),
-            self.instructions_selected,
-        );
-        registry.counter_add(&format!("{prefix}.nodes_fused"), self.nodes_fused);
-        registry.counter_add(&format!("{prefix}.kernel_calls"), self.kernel_calls);
-    }
 }
 
-/// What one pass did: wall-clock time, counter deltas, statements added,
+/// What one pass did: wall-clock time, work counters, statements added,
 /// and the inter-pass lint outcome.
 #[derive(Debug, Clone)]
 pub struct StageRecord {
@@ -115,22 +84,13 @@ impl StageReport {
         self.stages.iter().map(|s| s.micros).sum()
     }
 
-    /// Sum of all stage counter deltas.
+    /// Sum of all stage counters.
     pub fn totals(&self) -> StageCounters {
         let mut t = StageCounters::default();
         for s in &self.stages {
             t.add(s.counters);
         }
         t
-    }
-
-    /// Record this run's totals into a metrics registry: the summed
-    /// counters under `pipeline.*` plus run/stage/microsecond tallies.
-    pub fn record_metrics(&self, registry: &hcg_obs::MetricsRegistry) {
-        self.totals().record(registry, "pipeline");
-        registry.counter_add("pipeline.runs", 1);
-        registry.counter_add("pipeline.stages", self.stages.len() as u64);
-        registry.counter_add("pipeline.micros", self.total_micros());
     }
 
     /// Render as a fixed-width table (one line per stage plus a total row).
@@ -211,7 +171,8 @@ pub struct PipelineCtx<'m> {
     /// the shared statics) by the region-formation stage and reused by
     /// every mapping query.
     pub instr_index: Option<Cow<'static, InstrIndex>>,
-    /// Monotonic work counters (the manager records per-stage deltas).
+    /// Work counters of the running stage; the manager moves them into
+    /// that stage's [`StageRecord`] when the stage ends.
     pub counters: StageCounters,
 }
 
@@ -419,8 +380,8 @@ pub fn dispatch_pass<'g>() -> Pass<'g> {
     })
 }
 
-/// Runs the generator passes in order, timing each one, computing counter
-/// and statement deltas, and invoking the inter-pass lint hook.
+/// Runs the generator passes in order, timing each one, taking its
+/// counters and statement delta, and invoking the inter-pass lint hook.
 #[derive(Debug)]
 pub struct PassManager<'g> {
     passes: Vec<Pass<'g>>,
@@ -448,19 +409,19 @@ impl<'g> PassManager<'g> {
         let _run_span = hcg_obs::span_with("pipeline", || format!("{generator}/{model}@{arch}"));
         let mut stages = Vec::with_capacity(self.passes.len());
         for pass in &self.passes {
-            let counters_before = ctx.counters;
             let stmts_before = stmt_count(&ctx.current_program().body);
             let pass_span = hcg_obs::span_with("pass", || format!("{generator}/{}", pass.name));
             let t0 = Instant::now();
             (pass.run)(&mut ctx)?;
             let micros = t0.elapsed().as_micros() as u64;
             drop(pass_span);
+            let counters = std::mem::take(&mut ctx.counters);
             let prog = ctx.current_program();
             let lint_warnings = debug_lint_stage(prog, ctx.is_finished());
             stages.push(StageRecord {
                 name: pass.name,
                 micros,
-                counters: ctx.counters.delta(counters_before),
+                counters,
                 stmts_emitted: (stmt_count(&prog.body).saturating_sub(stmts_before)) as u64,
                 lint_warnings,
             });
@@ -471,7 +432,6 @@ impl<'g> PassManager<'g> {
             arch,
             stages,
         };
-        report.record_metrics(hcg_obs::MetricsRegistry::global());
         Ok((ctx.into_program()?, report))
     }
 }
@@ -540,24 +500,5 @@ mod tests {
             .run(ctx)
             .unwrap_err();
         assert!(matches!(err, GenError::Internal(_)));
-    }
-
-    #[test]
-    fn counter_deltas_are_per_stage() {
-        let a = StageCounters {
-            actors_dispatched: 5,
-            regions_formed: 2,
-            ..StageCounters::default()
-        };
-        let b = StageCounters {
-            actors_dispatched: 8,
-            regions_formed: 2,
-            instructions_selected: 3,
-            ..StageCounters::default()
-        };
-        let d = b.delta(a);
-        assert_eq!(d.actors_dispatched, 3);
-        assert_eq!(d.regions_formed, 0);
-        assert_eq!(d.instructions_selected, 3);
     }
 }

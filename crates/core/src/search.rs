@@ -30,9 +30,11 @@
 //!   cannot strictly beat the incumbent, making the search
 //!   branch-and-bound rather than purely heuristic.
 //!
-//! The search reports `search.*` counters (states expanded, prunes,
-//! completed tilings, memo traffic) to the global
-//! [`hcg_obs::MetricsRegistry`] and runs under a `search` span.
+//! Each run adds its work (states expanded, prunes, completed tilings,
+//! memo traffic) to this thread's [`stats`] probe and runs under a
+//! `search` span. The probe is thread-local in the `hcg_model::stats`
+//! style: the mapper returns only the plan, and only tests and `repro`
+//! read the counts, as a before/after difference.
 
 use crate::batch::{map_graph, MatchOrder, PlanStep};
 use crate::generator::GenError;
@@ -40,6 +42,7 @@ use hcg_graph::extend::{extend_subgraphs, top_left_node, MapState};
 use hcg_graph::matching::MatchMemo;
 use hcg_graph::Dfg;
 use hcg_isa::{InstrIndex, InstrSet};
+use std::cell::Cell;
 
 /// How Algorithm 2 chooses the instruction tiling of a batch region.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -67,6 +70,45 @@ impl MappingStrategy {
             MappingStrategy::Beam { width } => format!("beam{width}"),
         }
     }
+}
+
+/// Beam-search work, summed over this thread's [`MappingSearch`] runs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct SearchStats {
+    /// Searches run (regions mapped by beam search).
+    pub runs: u64,
+    /// Partial tilings expanded into successors.
+    pub states_expanded: u64,
+    /// Successors pruned by the admissible lower bound.
+    pub pruned_lb: u64,
+    /// Complete tilings scored against the incumbent.
+    pub tilings_completed: u64,
+    /// Instruction-match memo hits.
+    pub memo_hits: u64,
+    /// Instruction-match memo misses.
+    pub memo_misses: u64,
+}
+
+thread_local! {
+    static STATS: Cell<SearchStats> = Cell::new(SearchStats::default());
+}
+
+/// This thread's beam-search totals since it started.
+pub fn stats() -> SearchStats {
+    STATS.with(Cell::get)
+}
+
+fn note_run(run: SearchStats) {
+    STATS.with(|cell| {
+        let mut t = cell.get();
+        t.runs += run.runs;
+        t.states_expanded += run.states_expanded;
+        t.pruned_lb += run.pruned_lb;
+        t.tilings_completed += run.tilings_completed;
+        t.memo_hits += run.memo_hits;
+        t.memo_misses += run.memo_misses;
+        cell.set(t);
+    });
 }
 
 /// One partial tiling: which nodes are covered, the steps so far, and the
@@ -146,22 +188,24 @@ impl<'a> MappingSearch<'a> {
             plan: Vec::new(),
             cost: 0,
         }];
-        let (mut expanded, mut pruned, mut completed, mut improved) = (0u64, 0u64, 0u64, false);
+        let mut run = SearchStats {
+            runs: 1,
+            ..SearchStats::default()
+        };
         while !frontier.is_empty() {
             let mut next: Vec<BeamNode> = Vec::new();
             for node in frontier.drain(..) {
                 let Some(start) = top_left_node(g, &node.state) else {
                     // A complete tiling; strict improvement only, so ties
                     // keep the greedy incumbent.
-                    completed += 1;
+                    run.tilings_completed += 1;
                     if node.cost < best_cost {
                         best_cost = node.cost;
                         best_plan = node.plan;
-                        improved = true;
                     }
                     continue;
                 };
-                expanded += 1;
+                run.states_expanded += 1;
                 // Successors in greedy preference order (largest candidate
                 // first, cheapest instruction first): on equal optimistic
                 // scores the stable sort below keeps this order, so the
@@ -175,7 +219,7 @@ impl<'a> MappingSearch<'a> {
                         let mut state = node.state.clone();
                         state.mark_computed(&c.nodes);
                         if cost + lower_bound(state.pending()) >= best_cost {
-                            pruned += 1;
+                            run.pruned_lb += 1;
                             continue;
                         }
                         let mut plan = node.plan.clone();
@@ -205,16 +249,9 @@ impl<'a> MappingSearch<'a> {
             frontier = kept;
         }
 
-        let reg = hcg_obs::MetricsRegistry::global();
-        reg.counter_add("search.runs", 1);
-        reg.counter_add("search.states_expanded", expanded);
-        reg.counter_add("search.pruned_lb", pruned);
-        reg.counter_add("search.tilings_completed", completed);
-        reg.counter_add("search.memo_hits", memo.hits());
-        reg.counter_add("search.memo_misses", memo.misses());
-        if improved {
-            reg.counter_add("search.improved", 1);
-        }
+        run.memo_hits = memo.hits();
+        run.memo_misses = memo.misses();
+        note_run(run);
         Ok(best_plan)
     }
 }
@@ -311,5 +348,29 @@ mod tests {
         assert!(fused(&greedy) > 0, "greedy keeps the fused selection");
         assert_eq!(fused(&beam), 0);
         assert!(steps(&beam) > steps(&greedy));
+    }
+
+    #[test]
+    fn probe_counts_beam_runs_and_ignores_greedy() {
+        use crate::{CodeGenerator, HcgGen, HcgOptions};
+        let model = library::fig4_model();
+        let generate = |mapping| {
+            let options = HcgOptions {
+                mapping,
+                ..HcgOptions::default()
+            };
+            HcgGen::with_options(options)
+                .generate(&model, Arch::Neon128)
+                .unwrap();
+        };
+
+        let before = stats();
+        generate(MappingStrategy::Beam { width: 4 });
+        let after = stats();
+        assert!(after.runs > before.runs);
+        assert!(after.states_expanded > before.states_expanded);
+
+        generate(MappingStrategy::Greedy);
+        assert_eq!(stats(), after, "greedy mapping never enters the search");
     }
 }

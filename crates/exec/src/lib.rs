@@ -70,17 +70,6 @@ pub struct PoolStats {
     pub steals: u64,
 }
 
-impl PoolStats {
-    /// These stats as an [`hcg_obs::MetricsSnapshot`] — the shared schema
-    /// every JSON report embeds telemetry through.
-    pub fn snapshot(&self) -> hcg_obs::MetricsSnapshot {
-        let mut s = hcg_obs::MetricsSnapshot::new();
-        s.set_counter("exec.pool.workers", self.workers as u64);
-        s.set_counter("exec.pool.steals", self.steals);
-        s
-    }
-}
-
 /// Resolve a requested thread count: `0` means "all available cores",
 /// anything else is taken as-is (callers cap against job count separately).
 pub fn effective_threads(requested: usize) -> usize {
@@ -219,11 +208,6 @@ where
             workers,
             steals: steals.load(Ordering::Relaxed),
         };
-        let registry = hcg_obs::MetricsRegistry::global();
-        registry.counter_add("exec.pool.runs", 1);
-        registry.counter_add("exec.pool.jobs", n_jobs as u64);
-        registry.counter_add("exec.pool.steals", stats.steals);
-        registry.counter_add("exec.pool.workers_spawned", stats.workers as u64);
         (results, stats)
     })
 }

@@ -84,7 +84,6 @@ impl InstrIndex {
     /// Build the index over `set`. O(n log n) once, amortised across every
     /// instruction lookup of a pipeline run.
     pub fn build(set: &InstrSet) -> Self {
-        crate::stats::record_index_build();
         let mut buckets: HashMap<(ElemOp, DataType, usize), Vec<u32>> = HashMap::new();
         let mut bounds: HashMap<(DataType, usize), GraphBounds> = HashMap::new();
         for (pos, instr) in set.instrs.iter().enumerate() {

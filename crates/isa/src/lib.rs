@@ -30,7 +30,6 @@ mod pattern;
 
 pub mod parse;
 pub mod sets;
-pub mod stats;
 
 pub use arch::{Arch, ParseArchError};
 pub use calibrate::{CalibrateError, CostCalibrator, CostOverlay};

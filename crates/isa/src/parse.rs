@@ -54,7 +54,6 @@ fn err(line: usize, message: impl Into<String>) -> ParseIsaError {
 /// Returns [`ParseIsaError`] with a line number on any malformed directive,
 /// graph, or code template.
 pub fn instr_set_from_text(text: &str) -> Result<InstrSet, ParseIsaError> {
-    crate::stats::record_parse();
     let mut set: Option<InstrSet> = None;
     for (idx, raw) in text.lines().enumerate() {
         let lineno = idx + 1;

@@ -8,7 +8,9 @@
 //! the delta is exactly one.
 //!
 //! Counters are thread-local so parallel test threads (and parallel fleet
-//! shards) never observe each other's runs.
+//! shards) never observe each other's runs. They are probes, not
+//! telemetry: the analyses return no record to carry a count, and only
+//! tests and `repro` read these cells, as a before/after difference.
 
 use std::cell::Cell;
 
@@ -27,16 +29,6 @@ pub fn type_inference_runs() -> u64 {
 /// thread since it started.
 pub fn schedule_runs() -> u64 {
     SCHEDULE_RUNS.with(Cell::get)
-}
-
-/// This thread's counters as an [`hcg_obs::MetricsSnapshot`], under the
-/// `model.*` namespace — the bridge from the thread-local cells into the
-/// unified metrics schema.
-pub fn snapshot() -> hcg_obs::MetricsSnapshot {
-    let mut s = hcg_obs::MetricsSnapshot::new();
-    s.set_counter("model.type_inference_runs", type_inference_runs());
-    s.set_counter("model.schedule_runs", schedule_runs());
-    s
 }
 
 pub(crate) fn note_type_inference() {

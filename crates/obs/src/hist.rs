@@ -6,9 +6,8 @@
 //! `[2^(i-1), 2^i - 1]`. Recording is wait-free — one relaxed
 //! `fetch_add` on the bucket plus one each on the count and sum — so the
 //! serve hot path can record every request without a lock. Snapshots
-//! ([`HistogramSnapshot`]) are plain data: mergeable, subtractable
-//! (windowed views over a live histogram), quantile-estimating and
-//! rendered as stable JSON.
+//! ([`HistogramSnapshot`]) are plain data: quantile-estimating and
+//! rendered as stable JSON or Prometheus text.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -84,27 +83,6 @@ impl Histogram {
         self.sum.fetch_add(value, Ordering::Relaxed);
     }
 
-    /// Samples recorded so far.
-    pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
-    }
-
-    /// Sum of all recorded samples (wrapping).
-    pub fn sum(&self) -> u64 {
-        self.sum.load(Ordering::Relaxed)
-    }
-
-    /// Fold every sample of `other` into `self` (bucket-wise add).
-    pub fn merge(&self, other: &HistogramSnapshot) {
-        for (i, &n) in other.buckets.iter().enumerate() {
-            if n > 0 {
-                self.buckets[i].fetch_add(n, Ordering::Relaxed);
-            }
-        }
-        self.count.fetch_add(other.count, Ordering::Relaxed);
-        self.sum.fetch_add(other.sum, Ordering::Relaxed);
-    }
-
     /// A point-in-time copy. Concurrent recorders may land between the
     /// bucket reads, so a snapshot is consistent to within the samples in
     /// flight at the instant of the call — exact once recording stops.
@@ -113,9 +91,8 @@ impl Histogram {
         for (slot, bucket) in buckets.iter_mut().zip(&self.buckets) {
             *slot = bucket.load(Ordering::Relaxed);
         }
-        // Derive count/sum limits from the buckets where possible: read
-        // count/sum after the buckets so `count >= Σ buckets` never holds
-        // a windowed delta below zero.
+        // Read count/sum after the buckets so `count >= Σ buckets` holds
+        // even while recorders race the snapshot.
         HistogramSnapshot {
             buckets,
             count: self.count.load(Ordering::Relaxed),
@@ -125,8 +102,7 @@ impl Histogram {
 }
 
 /// An immutable point-in-time copy of a [`Histogram`] — the form that
-/// merges into reports, subtracts into windowed views and renders as
-/// JSON.
+/// goes into a [`crate::MetricsSnapshot`] and renders as JSON.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HistogramSnapshot {
     /// Per-bucket sample counts (see [`bucket_upper`] for bounds).
@@ -137,27 +113,7 @@ pub struct HistogramSnapshot {
     pub sum: u64,
 }
 
-impl Default for HistogramSnapshot {
-    fn default() -> Self {
-        HistogramSnapshot {
-            buckets: [0; BUCKETS],
-            count: 0,
-            sum: 0,
-        }
-    }
-}
-
 impl HistogramSnapshot {
-    /// An empty snapshot.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// `true` when no sample is recorded.
-    pub fn is_empty(&self) -> bool {
-        self.count == 0
-    }
-
     /// Mean sample value (0 when empty).
     pub fn mean(&self) -> f64 {
         if self.count == 0 {
@@ -192,29 +148,6 @@ impl HistogramSnapshot {
             seen += n;
         }
         bucket_upper(BUCKETS - 1)
-    }
-
-    /// Bucket-wise `self + other`.
-    pub fn merge(&mut self, other: &HistogramSnapshot) {
-        for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
-            *a = a.saturating_add(*b);
-        }
-        self.count = self.count.saturating_add(other.count);
-        self.sum = self.sum.wrapping_add(other.sum);
-    }
-
-    /// Bucket-wise `self - earlier` (saturating): the samples recorded
-    /// between two snapshots of the same live histogram.
-    pub fn delta(&self, earlier: &HistogramSnapshot) -> HistogramSnapshot {
-        let mut buckets = [0u64; BUCKETS];
-        for (i, slot) in buckets.iter_mut().enumerate() {
-            *slot = self.buckets[i].saturating_sub(earlier.buckets[i]);
-        }
-        HistogramSnapshot {
-            buckets,
-            count: self.count.saturating_sub(earlier.count),
-            sum: self.sum.wrapping_sub(earlier.sum),
-        }
     }
 
     /// Iterate `(inclusive upper bound, count)` over non-empty buckets.
@@ -277,7 +210,6 @@ mod tests {
         let s = h.snapshot();
         assert_eq!(s.count, 10);
         assert_eq!(s.sum, 113_106);
-        assert!(!s.is_empty());
         // p50 lands in the 513..=1023 bucket (the three 1000s start at
         // rank 6); interpolation keeps it within the bucket bounds.
         let p50 = s.quantile(0.5);
@@ -292,7 +224,6 @@ mod tests {
     #[test]
     fn empty_histogram_is_benign() {
         let s = Histogram::new().snapshot();
-        assert!(s.is_empty());
         assert_eq!(s.quantile(0.5), 0);
         assert_eq!(s.mean(), 0.0);
         assert_eq!(
@@ -300,31 +231,6 @@ mod tests {
             "{\"count\": 0, \"sum\": 0, \"mean\": 0.0, \"p50\": 0, \"p90\": 0, \"p99\": 0, \"buckets\": []}"
         );
         crate::json::validate(&s.to_json()).unwrap();
-    }
-
-    #[test]
-    fn merge_and_delta_are_inverse() {
-        let a = Histogram::new();
-        for v in [5u64, 9, 17] {
-            a.record(v);
-        }
-        let before = a.snapshot();
-        for v in [33u64, 65] {
-            a.record(v);
-        }
-        let after = a.snapshot();
-        let window = after.delta(&before);
-        assert_eq!(window.count, 2);
-        assert_eq!(window.sum, 98);
-        let mut rebuilt = before.clone();
-        rebuilt.merge(&window);
-        assert_eq!(rebuilt, after);
-        // Histogram::merge folds a snapshot back into a live histogram.
-        let b = Histogram::new();
-        b.merge(&after);
-        assert_eq!(b.snapshot(), after);
-        // Underflow saturates.
-        assert_eq!(before.delta(&after).count, 0);
     }
 
     #[test]

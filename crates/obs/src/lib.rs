@@ -8,11 +8,13 @@
 //!   sink whenever a thread's outermost span closes (so the `hcg-exec`
 //!   pool's workers publish before the pool joins them), and
 //!   [`take_events`] drains everything in a stable order.
-//! * [`MetricsRegistry`] — named monotonic counters and gauges behind one
-//!   process-global registry; [`MetricsSnapshot`] gives stable sorted-key
-//!   JSON plus counter deltas, unifying the previously scattered pipeline
-//!   counters, exec-pool steal stats, front-end run counters and fuzz
-//!   telemetry.
+//! * [`MetricsSnapshot`] — the one export schema for counters, gauges and
+//!   [`Histogram`] snapshots, with stable sorted-key JSON and Prometheus
+//!   text ([`render_prometheus`]). It is built only where telemetry leaves
+//!   the process (`GET /metrics`, the fuzz report); counts themselves live
+//!   in the typed values the work returns (`StageReport`,
+//!   `IncrementalStats`, `PoolStats`, `VerifyOutcome`, the daemon's
+//!   `ServeCounters`).
 //! * [`chrome_trace_json`] — Chrome trace-event JSON loadable by
 //!   `chrome://tracing` and Perfetto; [`render_tree`] is the compact text
 //!   alternative.
@@ -49,7 +51,7 @@ mod span;
 mod trace;
 
 pub use hist::{Histogram, HistogramSnapshot};
-pub use metrics::{MetricValue, MetricsRegistry, MetricsSnapshot};
+pub use metrics::{MetricValue, MetricsSnapshot};
 pub use prometheus::render_prometheus;
 pub use span::{
     clear_events, current_trace_context, flush_thread, set_tracing, span, span_with, take_events,

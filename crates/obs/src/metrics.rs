@@ -1,10 +1,8 @@
-//! The unified metrics registry: named monotonic counters, gauges and
-//! log-bucketed histograms with a snapshot/delta API and stable
-//! sorted-key JSON output.
+//! The metrics export schema: named counters, gauges and log-bucketed
+//! histogram snapshots with stable sorted-key JSON output.
 
-use crate::hist::{Histogram, HistogramSnapshot};
+use crate::hist::HistogramSnapshot;
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex};
 
 /// One metric value: a monotonic counter or a last-write-wins gauge.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -28,99 +26,9 @@ impl MetricValue {
     }
 }
 
-/// A registry of named metrics. One process-global instance
-/// ([`MetricsRegistry::global`]) unifies counters from every subsystem;
-/// code that needs isolation (tests) can construct its own.
-#[derive(Debug, Default)]
-pub struct MetricsRegistry {
-    values: Mutex<BTreeMap<String, MetricValue>>,
-    histograms: Mutex<BTreeMap<String, Arc<Histogram>>>,
-}
-
-static GLOBAL: MetricsRegistry = MetricsRegistry::new();
-
-impl MetricsRegistry {
-    /// An empty registry.
-    pub const fn new() -> Self {
-        MetricsRegistry {
-            values: Mutex::new(BTreeMap::new()),
-            histograms: Mutex::new(BTreeMap::new()),
-        }
-    }
-
-    /// The process-global registry every subsystem records into.
-    pub fn global() -> &'static MetricsRegistry {
-        &GLOBAL
-    }
-
-    /// Add `by` to the named counter, creating it at zero first. A name
-    /// previously used as a gauge is converted (last writer wins on kind).
-    pub fn counter_add(&self, name: &str, by: u64) {
-        let mut m = self.values.lock().expect("metrics lock poisoned");
-        let slot = m.entry(name.to_owned()).or_insert(MetricValue::Counter(0));
-        *slot = match *slot {
-            MetricValue::Counter(c) => MetricValue::Counter(c.saturating_add(by)),
-            MetricValue::Gauge(_) => MetricValue::Counter(by),
-        };
-    }
-
-    /// Set the named gauge to `value`.
-    pub fn gauge_set(&self, name: &str, value: f64) {
-        self.values
-            .lock()
-            .expect("metrics lock poisoned")
-            .insert(name.to_owned(), MetricValue::Gauge(value));
-    }
-
-    /// The named histogram, created empty on first use. The returned
-    /// handle is shared: recording through it is lock-free and shows up
-    /// in every later [`snapshot`](Self::snapshot).
-    pub fn histogram(&self, name: &str) -> Arc<Histogram> {
-        let mut m = self.histograms.lock().expect("metrics lock poisoned");
-        Arc::clone(
-            m.entry(name.to_owned())
-                .or_insert_with(|| Arc::new(Histogram::new())),
-        )
-    }
-
-    /// Register an externally owned histogram under `name` (last writer
-    /// wins). Daemons keep private per-instance histograms for isolation
-    /// and register them here so process-wide snapshots still see them.
-    pub fn register_histogram(&self, name: &str, hist: &Arc<Histogram>) {
-        self.histograms
-            .lock()
-            .expect("metrics lock poisoned")
-            .insert(name.to_owned(), Arc::clone(hist));
-    }
-
-    /// A point-in-time copy of every metric.
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        let histograms = self
-            .histograms
-            .lock()
-            .expect("metrics lock poisoned")
-            .iter()
-            .map(|(k, h)| (k.clone(), h.snapshot()))
-            .collect();
-        MetricsSnapshot {
-            values: self.values.lock().expect("metrics lock poisoned").clone(),
-            histograms,
-        }
-    }
-
-    /// Remove every metric (test isolation).
-    pub fn reset(&self) {
-        self.values.lock().expect("metrics lock poisoned").clear();
-        self.histograms
-            .lock()
-            .expect("metrics lock poisoned")
-            .clear();
-    }
-}
-
-/// An immutable point-in-time copy of a registry (or a hand-built metric
-/// set — the shared schema for report telemetry). Keys iterate and render
-/// in sorted order, so JSON output is byte-stable for equal content.
+/// A point-in-time metric set, built by hand where telemetry leaves the
+/// process (`GET /metrics`, the fuzz report). Keys iterate and render in
+/// sorted order, so JSON output is byte-stable for equal content.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct MetricsSnapshot {
     values: BTreeMap<String, MetricValue>,
@@ -145,30 +53,9 @@ impl MetricsSnapshot {
             .insert(name.to_owned(), MetricValue::Gauge(value));
     }
 
-    /// The named counter, when present and a counter.
-    pub fn counter(&self, name: &str) -> Option<u64> {
-        match self.values.get(name) {
-            Some(MetricValue::Counter(c)) => Some(*c),
-            _ => None,
-        }
-    }
-
-    /// The named gauge, when present and a gauge.
-    pub fn gauge(&self, name: &str) -> Option<f64> {
-        match self.values.get(name) {
-            Some(MetricValue::Gauge(g)) => Some(*g),
-            _ => None,
-        }
-    }
-
     /// Store a histogram snapshot under `name`.
     pub fn set_histogram(&mut self, name: &str, hist: HistogramSnapshot) {
         self.histograms.insert(name.to_owned(), hist);
-    }
-
-    /// The named histogram, when present.
-    pub fn histogram(&self, name: &str) -> Option<&HistogramSnapshot> {
-        self.histograms.get(name)
     }
 
     /// Iterate `(name, histogram)` in sorted-key order.
@@ -176,74 +63,15 @@ impl MetricsSnapshot {
         self.histograms.iter().map(|(k, v)| (k.as_str(), v))
     }
 
-    /// Number of metrics (counters, gauges and histograms).
-    pub fn len(&self) -> usize {
-        self.values.len() + self.histograms.len()
-    }
-
-    /// `true` when no metric is recorded.
-    pub fn is_empty(&self) -> bool {
-        self.values.is_empty() && self.histograms.is_empty()
-    }
-
     /// Iterate `(name, value)` in sorted-key order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, MetricValue)> {
         self.values.iter().map(|(k, v)| (k.as_str(), *v))
     }
 
-    /// Metrics whose name starts with `prefix`, in sorted-key order.
-    pub fn with_prefix<'a>(
-        &'a self,
-        prefix: &'a str,
-    ) -> impl Iterator<Item = (&'a str, MetricValue)> + 'a {
-        self.iter().filter(move |(k, _)| k.starts_with(prefix))
-    }
-
-    /// Per-key difference `self - earlier`: counters subtract (saturating),
-    /// gauges keep this snapshot's value. Keys only in `earlier` are
-    /// dropped; keys only in `self` pass through unchanged.
-    pub fn delta(&self, earlier: &MetricsSnapshot) -> MetricsSnapshot {
-        let values = self
-            .values
-            .iter()
-            .map(|(k, v)| {
-                let v = match (*v, earlier.values.get(k)) {
-                    (MetricValue::Counter(now), Some(MetricValue::Counter(then))) => {
-                        MetricValue::Counter(now.saturating_sub(*then))
-                    }
-                    (v, _) => v,
-                };
-                (k.clone(), v)
-            })
-            .collect();
-        let histograms = self
-            .histograms
-            .iter()
-            .map(|(k, h)| {
-                let h = match earlier.histograms.get(k) {
-                    Some(then) => h.delta(then),
-                    None => h.clone(),
-                };
-                (k.clone(), h)
-            })
-            .collect();
-        MetricsSnapshot { values, histograms }
-    }
-
-    /// Copy every metric of `other` into `self` (other wins on clashes).
-    pub fn merge(&mut self, other: &MetricsSnapshot) {
-        for (k, v) in &other.values {
-            self.values.insert(k.clone(), *v);
-        }
-        for (k, h) in &other.histograms {
-            self.histograms.insert(k.clone(), h.clone());
-        }
-    }
-
     /// A JSON object with one member per metric, keys sorted — byte-stable
     /// for equal content. Histograms render as nested objects (see
     /// [`HistogramSnapshot::to_json`]); on a name clash the histogram
-    /// wins, mirroring registry behavior where names are distinct kinds.
+    /// wins.
     pub fn to_json(&self) -> String {
         let mut members: BTreeMap<&str, String> = self
             .values
@@ -264,20 +92,23 @@ impl MetricsSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hist::Histogram;
 
     #[test]
-    fn counters_accumulate_and_gauges_overwrite() {
-        let r = MetricsRegistry::new();
-        r.counter_add("jobs", 3);
-        r.counter_add("jobs", 4);
-        r.gauge_set("workers", 8.0);
-        r.gauge_set("workers", 2.0);
-        let s = r.snapshot();
-        assert_eq!(s.counter("jobs"), Some(7));
-        assert_eq!(s.gauge("workers"), Some(2.0));
-        assert_eq!(s.counter("workers"), None);
-        r.reset();
-        assert!(r.snapshot().is_empty());
+    fn setters_overwrite_and_the_later_kind_wins() {
+        let mut s = MetricsSnapshot::new();
+        s.set_counter("jobs", 3);
+        s.set_counter("jobs", 7);
+        s.set_gauge("workers", 8.0);
+        s.set_counter("workers", 2);
+        let values: Vec<_> = s.iter().collect();
+        assert_eq!(
+            values,
+            [
+                ("jobs", MetricValue::Counter(7)),
+                ("workers", MetricValue::Counter(2))
+            ]
+        );
     }
 
     #[test]
@@ -300,130 +131,14 @@ mod tests {
     }
 
     #[test]
-    fn delta_subtracts_counters_keeps_gauges() {
-        let mut a = MetricsSnapshot::new();
-        a.set_counter("n", 10);
-        a.set_gauge("g", 1.0);
-        let mut b = a.clone();
-        b.set_counter("n", 17);
-        b.set_gauge("g", 9.0);
-        b.set_counter("new", 5);
-        let d = b.delta(&a);
-        assert_eq!(d.counter("n"), Some(7));
-        assert_eq!(d.gauge("g"), Some(9.0));
-        assert_eq!(d.counter("new"), Some(5));
-        // Underflow saturates rather than wrapping.
-        assert_eq!(a.delta(&b).counter("n"), Some(0));
-    }
-
-    #[test]
-    fn prefix_filter_and_merge() {
-        let mut s = MetricsSnapshot::new();
-        s.set_counter("exec.pool.jobs", 4);
-        s.set_counter("fuzz.cases", 9);
-        let execs: Vec<&str> = s.with_prefix("exec.").map(|(k, _)| k).collect();
-        assert_eq!(execs, ["exec.pool.jobs"]);
-        let mut t = MetricsSnapshot::new();
-        t.set_counter("fuzz.cases", 1);
-        t.merge(&s);
-        assert_eq!(t.counter("fuzz.cases"), Some(9));
-        assert_eq!(t.len(), 2);
-    }
-
-    #[test]
-    fn delta_with_kind_collisions_keeps_the_later_kind() {
-        // A name recorded as a gauge in one snapshot and a counter in the
-        // other must not subtract across kinds: the later snapshot's
-        // value passes through untouched.
-        let mut then = MetricsSnapshot::new();
-        then.set_gauge("x", 100.0);
-        then.set_counter("y", 100);
-        let mut now = MetricsSnapshot::new();
-        now.set_counter("x", 7);
-        now.set_gauge("y", 7.0);
-        let d = now.delta(&then);
-        assert_eq!(d.counter("x"), Some(7), "counter-now vs gauge-then");
-        assert_eq!(d.gauge("y"), Some(7.0), "gauge-now vs counter-then");
-    }
-
-    #[test]
-    fn delta_drops_keys_only_in_earlier() {
-        let mut then = MetricsSnapshot::new();
-        then.set_counter("gone", 3);
-        then.set_histogram("h.gone", HistogramSnapshot::default());
-        let mut now = MetricsSnapshot::new();
-        now.set_counter("kept", 5);
-        let d = now.delta(&then);
-        assert_eq!(d.counter("gone"), None);
-        assert!(d.histogram("h.gone").is_none());
-        assert_eq!(d.counter("kept"), Some(5));
-        assert_eq!(d.len(), 1);
-    }
-
-    #[test]
-    fn empty_snapshot_is_an_identity_for_delta_and_merge() {
-        let mut s = MetricsSnapshot::new();
-        s.set_counter("n", 9);
-        s.set_gauge("g", 2.5);
+    fn histograms_render_nested_and_win_name_clashes() {
         let h = Histogram::new();
-        h.record(4);
-        s.set_histogram("h", h.snapshot());
-        let empty = MetricsSnapshot::new();
-
-        // x.delta(empty) == x and empty.delta(x) == empty.
-        assert_eq!(s.delta(&empty), s);
-        assert!(empty.delta(&s).is_empty());
-
-        // Merging an empty snapshot changes nothing; merging into an
-        // empty snapshot copies everything.
-        let mut merged = s.clone();
-        merged.merge(&empty);
-        assert_eq!(merged, s);
-        let mut from_empty = MetricsSnapshot::new();
-        from_empty.merge(&s);
-        assert_eq!(from_empty, s);
-    }
-
-    #[test]
-    fn merge_replaces_on_kind_collision_and_keeps_histograms_distinct() {
-        let mut a = MetricsSnapshot::new();
-        a.set_counter("k", 1);
-        let hist = Histogram::new();
-        hist.record(8);
-        a.set_histogram("lat", hist.snapshot());
-        let mut b = MetricsSnapshot::new();
-        b.set_gauge("k", 0.5);
-        a.merge(&b);
-        assert_eq!(a.counter("k"), None, "other wins on kind clashes");
-        assert_eq!(a.gauge("k"), Some(0.5));
-        assert_eq!(a.histogram("lat").map(|h| h.count), Some(1));
-        // len counts values and histograms together.
-        assert_eq!(a.len(), 2);
-        assert!(!a.is_empty());
-    }
-
-    #[test]
-    fn registry_histograms_snapshot_and_delta_round_trip() {
-        let r = MetricsRegistry::new();
-        let h = r.histogram("lat");
-        h.record(100);
-        let then = r.snapshot();
-        h.record(200);
-        r.histogram("lat").record(300);
-        let now = r.snapshot();
-        let d = now.delta(&then);
-        assert_eq!(then.histogram("lat").map(|h| h.count), Some(1));
-        assert_eq!(now.histogram("lat").map(|h| h.count), Some(3));
-        assert_eq!(d.histogram("lat").map(|h| h.count), Some(2));
-        assert!(crate::json::validate(&d.to_json()).is_ok());
-    }
-
-    #[test]
-    fn global_registry_is_shared() {
-        MetricsRegistry::global().counter_add("obs.test.global", 1);
-        assert!(MetricsRegistry::global()
-            .snapshot()
-            .counter("obs.test.global")
-            .is_some());
+        h.record(8);
+        let mut s = MetricsSnapshot::new();
+        s.set_counter("lat", 1);
+        s.set_histogram("lat", h.snapshot());
+        let j = s.to_json();
+        assert!(j.starts_with("{\"lat\": {\"count\": 1,"), "{j}");
+        assert!(crate::json::validate(&j).is_ok());
     }
 }

@@ -14,9 +14,10 @@
 //!   combination over one model shares a single parsed/validated front
 //!   end (the session cache is itself LRU-capped);
 //! - connections fan out over the [`hcg_exec`] work-stealing pool;
-//! - cache and request counters mirror into
-//!   [`hcg_obs::MetricsRegistry::global`] and compile spans go to the
-//!   [`hcg_obs`] tracer; `GET /metrics` serves the live snapshot.
+//! - cache and request counters are per-daemon atomics
+//!   ([`ServeHandle::counters`]) and compile spans go to the [`hcg_obs`]
+//!   tracer; `GET /metrics` builds its snapshot from the counters, the
+//!   live cache sizes and the daemon's histograms at scrape time.
 //!
 //! Concurrent identical requests are deduplicated in flight
 //! (single-flight): the first arrival compiles, the rest block and reuse

@@ -19,7 +19,7 @@ use crate::telemetry::{
 };
 use hcg_core::emit::to_c_source;
 use hcg_core::CompileSession;
-use hcg_obs::{MetricsRegistry, TraceContext};
+use hcg_obs::TraceContext;
 use std::collections::HashMap;
 use std::io::{self, BufReader};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -78,23 +78,17 @@ impl Default for ServeConfig {
 
 macro_rules! serve_counters {
     ($(#[doc = $doc:literal] $field:ident => $metric:literal,)+) => {
-        /// Service counters. The authoritative copy lives on the daemon
-        /// instance (so tests with several daemons stay isolated); every
-        /// bump is mirrored into [`MetricsRegistry::global`] under the
-        /// same `serve.*` names.
+        /// Service counters. They live on the daemon instance (so tests
+        /// with several daemons stay isolated) and leave the process only
+        /// through [`snapshot`](Self::snapshot), under `serve.*` names.
         #[derive(Debug, Default)]
         pub struct ServeCounters {
             $(#[doc = $doc] pub $field: AtomicU64,)+
         }
 
         impl ServeCounters {
-            fn bump(&self, field: &AtomicU64, name: &str) {
-                field.fetch_add(1, Ordering::Relaxed);
-                MetricsRegistry::global().counter_add(name, 1);
-            }
-
             $(fn $field(&self) {
-                self.bump(&self.$field, $metric);
+                self.$field.fetch_add(1, Ordering::Relaxed);
             })+
 
             /// Point-in-time copy as the shared report-telemetry schema.
@@ -567,10 +561,11 @@ fn route(state: &ServeState, request: &Request) -> Response {
 fn metrics(state: &ServeState, request: &Request) -> Response {
     state.counters.metrics_scrapes();
     let mut snapshot = state.counters.snapshot();
-    snapshot.set_counter("serve.cache.entries", state.cache.entries() as u64);
-    snapshot.set_counter("serve.cache.bytes", state.cache.bytes() as u64);
-    snapshot.set_counter("serve.cache.shards", state.cache.shard_count() as u64);
-    snapshot.set_counter("serve.session.entries", state.sessions.len() as u64);
+    // Sizes fall on eviction, so they are gauges, not counters.
+    snapshot.set_gauge("serve.cache.entries", state.cache.entries() as f64);
+    snapshot.set_gauge("serve.cache.bytes", state.cache.bytes() as f64);
+    snapshot.set_gauge("serve.cache.shards", state.cache.shard_count() as f64);
+    snapshot.set_gauge("serve.session.entries", state.sessions.len() as f64);
     if let Some(hists) = &state.telemetry.hists {
         for (name, hist) in hists.named() {
             snapshot.set_histogram(name, hist.snapshot());

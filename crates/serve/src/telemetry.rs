@@ -7,7 +7,7 @@
 //! the daemon can keep all of it on in production (`repro -- obs-bench`
 //! measures each layer against the serve benchmark).
 
-use hcg_obs::{json, Histogram, MetricsRegistry};
+use hcg_obs::{json, Histogram};
 use std::collections::VecDeque;
 use std::fs::OpenOptions;
 use std::io::{self, BufWriter, Write};
@@ -79,9 +79,8 @@ pub fn parse_trace_id(text: &str) -> Option<u64> {
 }
 
 /// The daemon's server-side histograms, all in microseconds except the
-/// byte sizes. Each daemon owns its instances (test isolation) and
-/// registers them into [`MetricsRegistry::global`] under `serve.*` names
-/// so process-wide snapshots include them.
+/// byte sizes. Each daemon owns its instances (test isolation); they leave
+/// the process only through `GET /metrics`, under `serve.*` names.
 #[derive(Debug, Clone)]
 pub struct ServeHists {
     /// Accept-to-response-written latency per request.
@@ -99,21 +98,16 @@ pub struct ServeHists {
 }
 
 impl ServeHists {
-    /// Fresh histograms, registered globally.
+    /// Fresh, empty histograms.
     pub fn new() -> Self {
-        let h = ServeHists {
+        ServeHists {
             request_latency_us: Arc::new(Histogram::new()),
             compile_latency_us: Arc::new(Histogram::new()),
             queue_wait_us: Arc::new(Histogram::new()),
             flight_wait_us: Arc::new(Histogram::new()),
             request_bytes: Arc::new(Histogram::new()),
             response_bytes: Arc::new(Histogram::new()),
-        };
-        let registry = MetricsRegistry::global();
-        for (name, hist) in h.named() {
-            registry.register_histogram(name, hist);
         }
-        h
     }
 
     /// `(metric name, histogram)` pairs, in snapshot order.
@@ -360,16 +354,5 @@ mod tests {
         }
         assert!(lines[1].contains("\"status\": 422"));
         let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn histograms_register_globally() {
-        let h = ServeHists::new();
-        h.request_latency_us.record(500);
-        let snap = MetricsRegistry::global().snapshot();
-        let latency = snap
-            .histogram("serve.request_latency_us")
-            .expect("registered globally");
-        assert!(latency.count >= 1);
     }
 }

@@ -235,6 +235,20 @@ fn metrics_scrape_in_prometheus_format_parses_cleanly() {
     assert!(doc.value("serve_compile_latency_us_count").unwrap() >= 1.0);
     // The scrape counter observes scrapes themselves (this is the second).
     assert!(doc.value("serve_metrics_scrapes").unwrap() >= 2.0);
+    // Sizes fall on eviction: exposing them as counters would make
+    // `rate()` read every eviction as a counter reset.
+    for family in [
+        "serve_cache_entries",
+        "serve_cache_bytes",
+        "serve_cache_shards",
+        "serve_session_entries",
+    ] {
+        assert_eq!(
+            doc.types.get(family).map(String::as_str),
+            Some("gauge"),
+            "{family}"
+        );
+    }
     handle.shutdown();
 }
 

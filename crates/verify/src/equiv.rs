@@ -75,9 +75,8 @@ pub struct VerifyOutcome {
 /// same element types, so they evaluate identically on every input and
 /// state. A mismatch yields the first-divergence [`Witness`].
 ///
-/// Verifier traffic is recorded in the global metrics registry
-/// (`verify.programs`, `verify.proved`, `verify.divergent`, `verify.exprs`)
-/// and the walk runs inside a `verify` tracing span.
+/// The walk runs inside a `verify` tracing span; what it proved and how
+/// much it interned is the returned [`VerifyOutcome`].
 ///
 /// # Errors
 ///
@@ -149,24 +148,12 @@ pub fn verify_program(model: &Model, prog: &Program) -> Result<VerifyOutcome, Ve
         }
     }
 
-    let outcome = VerifyOutcome {
+    Ok(VerifyOutcome {
         equivalent: witness.is_none(),
         witness,
         outports: out_bufs.len(),
         states: state_bufs.len(),
         elems,
         exprs: arena.len(),
-    };
-    let metrics = hcg_obs::MetricsRegistry::global();
-    metrics.counter_add("verify.programs", 1);
-    metrics.counter_add(
-        if outcome.equivalent {
-            "verify.proved"
-        } else {
-            "verify.divergent"
-        },
-        1,
-    );
-    metrics.counter_add("verify.exprs", outcome.exprs as u64);
-    Ok(outcome)
+    })
 }

@@ -18,6 +18,12 @@ cargo test -q --workspace
 echo "==> cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> ledger benchmark: build and test against these crates (--locked: ledger/Cargo.lock must stay valid)"
+CARGO_TARGET_DIR=.bench_build cargo build --release --offline --locked \
+    --manifest-path ledger/Cargo.toml
+CARGO_TARGET_DIR=.bench_build cargo test -q --release --offline --locked \
+    --manifest-path ledger/Cargo.toml
+
 echo "==> lint example models"
 cargo run -q --release -p hcg-bench --bin lint -- examples/models/*.xml
 

@@ -7,7 +7,7 @@
 //!
 //! | Module | Crate | Role |
 //! |---|---|---|
-//! | [`obs`] | `hcg-obs` | Observability layer: span tracing (Chrome trace JSON), unified metrics registry |
+//! | [`obs`] | `hcg-obs` | Observability layer: span tracing (Chrome trace JSON), histograms, metrics export schema (JSON, Prometheus) |
 //! | [`model`] | `hcg-model` | Simulink-like models: actors, typed signals, XML model files, scheduling, benchmark library |
 //! | [`graph`] | `hcg-graph` | Dataflow graphs, subgraph extension, instruction matching |
 //! | [`isa`] | `hcg-isa` | SIMD instruction sets (NEON/SSE/AVX) with computing graphs, loadable from text files |

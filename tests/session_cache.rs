@@ -120,6 +120,29 @@ fn stage_report_matches_figure4_walkthrough() {
         "Listing 1 is three SIMD instructions"
     );
     assert_eq!(prog.stmt_stats().vops, 3);
+    // Each count is attributed to the stage that did the work.
+    for stage in &report.stages {
+        let c = stage.counters;
+        assert_eq!(
+            c.actors_dispatched > 0,
+            stage.name == "dispatch",
+            "{}: actors_dispatched = {}",
+            stage.name,
+            c.actors_dispatched
+        );
+        assert_eq!(
+            c.regions_formed,
+            u64::from(stage.name == "region-formation"),
+            "{}: regions_formed",
+            stage.name
+        );
+        assert_eq!(
+            c.instructions_selected,
+            3 * u64::from(stage.name == "instruction-mapping"),
+            "{}: instructions_selected",
+            stage.name
+        );
+    }
     // Every stage recorded a lint verdict in debug builds; the rendered
     // table mentions each stage by name.
     let table = report.render();
