@@ -217,4 +217,17 @@ mod tests {
         let r = lint_model_file("<simulink/>");
         assert!(r.has(LintCode::MalformedModelFile));
     }
+
+    #[test]
+    fn deep_nesting_is_one_malformed_xml_finding() {
+        let levels = 100_000;
+        let text = format!(
+            "<model>{}{}</model>",
+            "<a>".repeat(levels),
+            "</a>".repeat(levels)
+        );
+        let r = lint_model_file(&text);
+        assert_eq!(r.diagnostics.len(), 1, "got: {}", r.render());
+        assert!(r.has(LintCode::MalformedXml), "got: {}", r.render());
+    }
 }

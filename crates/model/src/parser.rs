@@ -17,7 +17,8 @@
 use crate::actor::{Actor, ActorId, ActorKind};
 use crate::model::{Connection, Model, PortRef};
 use crate::types::Param;
-use crate::xml::{self, XmlElement, XmlError};
+use crate::xml::{Event, Reader, XmlElement, XmlError};
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -63,36 +64,88 @@ fn schema_err(msg: impl Into<String>) -> ParseModelError {
 /// # Errors
 ///
 /// Returns [`ParseModelError`] for malformed XML or schema violations.
-/// Structural/type validation is *not* performed here; call
-/// [`Model::infer_types`] afterwards (as [`crate::ModelBuilder::build`]
+/// Malformed XML anywhere in the file outranks a schema violation (see
+/// [`crate::xml`]). Structural/type validation is *not* performed here;
+/// call [`Model::infer_types`] afterwards (as [`crate::ModelBuilder::build`]
 /// does) to reject semantically invalid models.
 pub fn model_from_xml(text: &str) -> Result<Model, ParseModelError> {
-    let root = xml::parse(text)?;
-    if root.name != "model" {
-        return Err(schema_err(format!(
-            "root element must be <model>, got <{}>",
-            root.name
-        )));
-    }
-    let name = root.attr("name").unwrap_or("unnamed").to_owned();
-    let mut actors: Vec<Actor> = Vec::new();
-    let mut connections = Vec::new();
-    for child in &root.children {
-        match child.name.as_str() {
-            "actor" => actors.push(parse_actor(child, actors.len())?),
-            "connect" => connections.push(parse_connect(child)?),
-            other => return Err(schema_err(format!("unexpected element <{other}>"))),
+    let mut reader = Reader::new(text);
+    let mut model = ModelReader::default();
+    let mut schema = None;
+    while let Some(event) = reader.next_event()? {
+        if schema.is_none() {
+            schema = model.event(&reader, event).err();
         }
     }
-    Ok(Model {
-        name,
-        actors,
-        connections,
-    })
+    match schema {
+        Some(e) => Err(e),
+        None => Ok(Model {
+            name: model.name,
+            actors: model.actors,
+            connections: model.connections,
+        }),
+    }
 }
 
-fn parse_actor(el: &XmlElement, expected_id: usize) -> Result<Actor, ParseModelError> {
-    let id: usize = el
+/// The model being read, one [`Event`] at a time. The schema is
+/// `<model>` (level 1) holding `<actor>` and `<connect>` (level 2), with
+/// `<param>` (level 3) inside an actor; anything deeper is ignored.
+#[derive(Default)]
+struct ModelReader<'a> {
+    name: String,
+    actors: Vec<Actor>,
+    connections: Vec<Connection>,
+    /// The open `<actor>`; its params fill in as they close.
+    actor: Option<Actor>,
+    /// The open `<param>` of that actor: its name and its text so far.
+    param: Option<(String, Cow<'a, str>)>,
+}
+
+impl<'a> ModelReader<'a> {
+    fn event(&mut self, r: &Reader<'a>, event: Event<'a>) -> Result<(), ParseModelError> {
+        match (event, r.depth()) {
+            (Event::Start(root), 1) => {
+                if root != "model" {
+                    return Err(schema_err(format!(
+                        "root element must be <model>, got <{root}>"
+                    )));
+                }
+                self.name = r.attr("name").unwrap_or("unnamed").to_owned();
+            }
+            (Event::Start("actor"), 2) => self.actor = Some(read_actor(r, self.actors.len())?),
+            (Event::Start("connect"), 2) => self.connections.push(read_connect(r)?),
+            (Event::Start(other), 2) => {
+                return Err(schema_err(format!("unexpected element <{other}>")))
+            }
+            (Event::Start("param"), 3) if self.actor.is_some() => {
+                let name = r
+                    .attr("name")
+                    .ok_or_else(|| schema_err("<param> missing name"))?;
+                self.param = Some((name.to_owned(), Cow::Borrowed("")));
+            }
+            (Event::Text(more), 3) => {
+                if let Some((_, text)) = &mut self.param {
+                    if text.is_empty() {
+                        *text = more;
+                    } else {
+                        text.to_mut().push_str(&more);
+                    }
+                }
+            }
+            (Event::End(_), 2) => {
+                if let (Some(actor), Some((name, text))) = (&mut self.actor, self.param.take()) {
+                    actor.params.insert(name, Param::parse(text.trim()));
+                }
+            }
+            (Event::End(_), 1) => self.actors.extend(self.actor.take()),
+            _ => {}
+        }
+        Ok(())
+    }
+}
+
+fn read_actor(r: &Reader<'_>, expected_id: usize) -> Result<Actor, ParseModelError> {
+    let id: usize = r
         .attr("id")
         .ok_or_else(|| schema_err("<actor> missing id"))?
         .parse()
@@ -102,27 +155,20 @@ fn parse_actor(el: &XmlElement, expected_id: usize) -> Result<Actor, ParseModelE
             "actor ids must be dense and in order: expected {expected_id}, got {id}"
         )));
     }
-    let name = el
+    let name = r
         .attr("name")
         .ok_or_else(|| schema_err("<actor> missing name"))?
         .to_owned();
-    let kind: ActorKind = el
+    let kind: ActorKind = r
         .attr("kind")
         .ok_or_else(|| schema_err("<actor> missing kind"))?
         .parse()
         .map_err(|e| schema_err(format!("{e}")))?;
-    let mut params = BTreeMap::new();
-    for p in el.children_named("param") {
-        let pname = p
-            .attr("name")
-            .ok_or_else(|| schema_err("<param> missing name"))?;
-        params.insert(pname.to_owned(), Param::parse(&p.text));
-    }
     Ok(Actor {
         id: ActorId(id),
         name,
         kind,
-        params,
+        params: BTreeMap::new(),
     })
 }
 
@@ -139,13 +185,13 @@ fn parse_port(spec: &str) -> Result<PortRef, ParseModelError> {
     Ok(PortRef::new(ActorId(actor), port))
 }
 
-fn parse_connect(el: &XmlElement) -> Result<Connection, ParseModelError> {
+fn read_connect(r: &Reader<'_>) -> Result<Connection, ParseModelError> {
     let from = parse_port(
-        el.attr("from")
+        r.attr("from")
             .ok_or_else(|| schema_err("<connect> missing from"))?,
     )?;
     let to = parse_port(
-        el.attr("to")
+        r.attr("to")
             .ok_or_else(|| schema_err("<connect> missing to"))?,
     )?;
     Ok(Connection { from, to })
@@ -255,5 +301,20 @@ mod tests {
     fn unexpected_element_rejected() {
         let e = model_from_xml(r#"<model name="t"><blob/></model>"#).unwrap_err();
         assert!(matches!(e, ParseModelError::Schema(_)));
+    }
+
+    #[test]
+    fn xml_error_after_schema_error_wins() {
+        let e = model_from_xml(r#"<model name="t"><blob/><actor></model>"#).unwrap_err();
+        assert!(matches!(e, ParseModelError::Xml(_)), "{e}");
+    }
+
+    #[test]
+    fn param_text_joins_runs_split_by_comments() {
+        let m = model_from_xml(
+            r#"<model name="t"><actor id="0" name="x" kind="Inport"><param name="type"> f32<!-- c -->*4<b>no</b> </param></actor></model>"#,
+        )
+        .unwrap();
+        assert_eq!(m.actors[0].params["type"], Param::parse("f32*4"));
     }
 }

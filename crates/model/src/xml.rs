@@ -5,7 +5,27 @@
 //! subset of XML that block-diagram model files use: elements, attributes,
 //! text content, self-closing tags, comments, processing instructions/
 //! declarations, and the five predefined entities.
+//!
+//! The crate-private `Reader` is an iterative pull reader: it yields
+//! start, end and text events and keeps the open tags on an explicit
+//! stack, so no input can exhaust the call stack. Names are `&str` slices
+//! of the input; attribute values and text are [`Cow`]s that own a buffer
+//! only when an entity had to be decoded; the attributes of the current
+//! start tag live in one reused `Vec`. Nesting deeper than [`MAX_DEPTH`]
+//! is an [`XmlError`].
+//!
+//! The reader has two consumers. [`crate::parser::model_from_xml`] reads
+//! events straight into a model. [`parse`] builds an owned [`XmlElement`]
+//! tree for callers that walk a DOM (the lenient lint front end);
+//! `XmlElement` is also what [`crate::parser::model_to_xml`] writes
+//! through. Both consumers report the same error for the same input: the
+//! first malformed construct in document order. An XML error anywhere
+//! outranks a schema error, the order a parse-then-validate front end
+//! gives: after a schema violation `model_from_xml` reads on to the end,
+//! checking only well-formedness, and returns the schema error only for a
+//! well-formed file.
 
+use std::borrow::Cow;
 use std::fmt;
 
 /// A parsed XML element.
@@ -142,12 +162,317 @@ impl fmt::Display for XmlError {
 
 impl std::error::Error for XmlError {}
 
+/// Deepest element nesting a document may have (the root is level 1).
+///
+/// Model files nest three levels (model, actor, param); the cap bounds the
+/// reader's open-tag stack, and with it the work one hostile document can
+/// cause.
+pub const MAX_DEPTH: usize = 256;
+
+/// One step through a document, as returned by [`Reader::next_event`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) enum Event<'a> {
+    /// A start tag. Its attributes are in the reader's `attrs` until the
+    /// next call to [`Reader::next_event`].
+    Start(&'a str),
+    /// An end tag. A self-closing element yields `Start` then `End`.
+    End(&'a str),
+    /// A run of character data with entities decoded. Comments and child
+    /// elements split an element's text into several runs.
+    Text(Cow<'a, str>),
+}
+
+#[derive(Debug, Clone, Copy)]
+enum State {
+    /// Before the root element.
+    Prolog,
+    /// Inside the root (or past it, once the open-tag stack is empty).
+    Content,
+    /// A self-closing start tag was just returned; its `End` is next.
+    SelfClosed,
+}
+
+/// An iterative pull reader over a document held in memory.
+#[derive(Debug)]
+pub(crate) struct Reader<'a> {
+    src: &'a str,
+    pos: usize,
+    state: State,
+    /// Names of the open elements, outermost first.
+    open: Vec<&'a str>,
+    /// Attributes of the last start tag, in document order.
+    attrs: Vec<(&'a str, Cow<'a, str>)>,
+}
+
+impl<'a> Reader<'a> {
+    /// A reader positioned before the document's prolog.
+    pub(crate) fn new(src: &'a str) -> Self {
+        Reader {
+            src,
+            pos: 0,
+            state: State::Prolog,
+            open: Vec::new(),
+            attrs: Vec::new(),
+        }
+    }
+
+    /// The next event, or `None` once the root has closed and only
+    /// whitespace, comments and processing instructions follow it.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`XmlError`] at the first malformed construct, including
+    /// nesting deeper than [`MAX_DEPTH`]. The reader must not be used after
+    /// an error.
+    pub(crate) fn next_event(&mut self) -> Result<Option<Event<'a>>, XmlError> {
+        match self.state {
+            State::Prolog => {
+                self.skip_misc()?;
+                self.start_tag().map(Some)
+            }
+            State::SelfClosed => {
+                self.state = State::Content;
+                let name = self.open.pop().expect("a self-closed element is open");
+                Ok(Some(Event::End(name)))
+            }
+            State::Content if self.open.is_empty() => {
+                self.skip_misc()?;
+                if self.pos < self.src.len() {
+                    return Err(self.err("trailing content after root element"));
+                }
+                Ok(None)
+            }
+            State::Content => self.content().map(Some),
+        }
+    }
+
+    /// Number of open elements: after `Start` it counts that element, after
+    /// `End` it no longer does, and during `Text` it is the text's depth.
+    pub(crate) fn depth(&self) -> usize {
+        self.open.len()
+    }
+
+    /// The first attribute of the last start tag with the given name.
+    pub(crate) fn attr(&self, name: &str) -> Option<&str> {
+        self.attrs
+            .iter()
+            .find(|(n, _)| *n == name)
+            .map(|(_, v)| v.as_ref())
+    }
+
+    fn err(&self, message: impl Into<String>) -> XmlError {
+        XmlError {
+            offset: self.pos,
+            message: message.into(),
+        }
+    }
+
+    fn rest(&self) -> &'a [u8] {
+        &self.src.as_bytes()[self.pos..]
+    }
+
+    fn peek(&self) -> Option<u8> {
+        self.rest().first().copied()
+    }
+
+    fn skip_ws(&mut self) {
+        while matches!(self.peek(), Some(b' ' | b'\t' | b'\r' | b'\n')) {
+            self.pos += 1;
+        }
+    }
+
+    fn expect(&mut self, c: u8) -> Result<(), XmlError> {
+        if self.peek() == Some(c) {
+            self.pos += 1;
+            Ok(())
+        } else {
+            Err(self.err(format!("expected {:?}", c as char)))
+        }
+    }
+
+    /// Skip whitespace, comments, declarations and processing instructions.
+    fn skip_misc(&mut self) -> Result<(), XmlError> {
+        loop {
+            self.skip_ws();
+            let rest = self.rest();
+            if rest.starts_with(b"<!--") {
+                self.skip_past("-->")?;
+            } else if rest.starts_with(b"<?") {
+                self.skip_past("?>")?;
+            } else if rest.starts_with(b"<!") {
+                // DOCTYPE and friends — skip to the closing '>'.
+                self.skip_past(">")?;
+            } else {
+                return Ok(());
+            }
+        }
+    }
+
+    fn skip_past(&mut self, end: &str) -> Result<(), XmlError> {
+        match self.src[self.pos..].find(end) {
+            Some(i) => {
+                self.pos += i + end.len();
+                Ok(())
+            }
+            None => Err(self.err(format!("unterminated construct, expected {end:?}"))),
+        }
+    }
+
+    fn name(&mut self) -> Result<&'a str, XmlError> {
+        let rest = self.rest();
+        let len = rest
+            .iter()
+            .position(|&c| !(c.is_ascii_alphanumeric() || matches!(c, b'_' | b'-' | b':' | b'.')))
+            .unwrap_or(rest.len());
+        if len == 0 {
+            return Err(self.err("expected a name"));
+        }
+        let start = self.pos;
+        self.pos += len;
+        Ok(&self.src[start..self.pos])
+    }
+
+    fn start_tag(&mut self) -> Result<Event<'a>, XmlError> {
+        let at = self.pos;
+        self.expect(b'<')?;
+        if self.open.len() == MAX_DEPTH {
+            return Err(XmlError {
+                offset: at,
+                message: format!("elements nest deeper than the depth limit of {MAX_DEPTH}"),
+            });
+        }
+        let name = self.name()?;
+        self.attrs.clear();
+        loop {
+            self.skip_ws();
+            match self.peek() {
+                Some(b'/') => {
+                    self.pos += 1;
+                    self.expect(b'>')?;
+                    self.state = State::SelfClosed;
+                    break;
+                }
+                Some(b'>') => {
+                    self.pos += 1;
+                    self.state = State::Content;
+                    break;
+                }
+                Some(_) => {
+                    let attr = self.name()?;
+                    self.skip_ws();
+                    self.expect(b'=')?;
+                    self.skip_ws();
+                    let quote = self
+                        .peek()
+                        .filter(|&q| q == b'"' || q == b'\'')
+                        .ok_or_else(|| self.err("expected quoted attribute value"))?;
+                    self.pos += 1;
+                    let value = self.text_until(quote)?;
+                    self.pos += 1; // the closing quote
+                    self.attrs.push((attr, value));
+                }
+                None => return Err(self.err("unterminated start tag")),
+            }
+        }
+        self.open.push(name);
+        Ok(Event::Start(name))
+    }
+
+    /// Read inside an open element up to the next event.
+    fn content(&mut self) -> Result<Event<'a>, XmlError> {
+        let open = *self.open.last().expect("content is read inside an element");
+        loop {
+            let rest = self.rest();
+            if rest.starts_with(b"<!--") {
+                self.skip_past("-->")?;
+                continue;
+            }
+            if rest.starts_with(b"</") {
+                self.pos += 2;
+                let close = self.name()?;
+                if close != open {
+                    return Err(self.err(format!("mismatched close tag </{close}> for <{open}>")));
+                }
+                self.skip_ws();
+                self.expect(b'>')?;
+                self.open.pop();
+                return Ok(Event::End(close));
+            }
+            return match rest.first() {
+                Some(b'<') => self.start_tag(),
+                Some(_) => self.text_until(b'<').map(Event::Text),
+                None => Err(self.err(format!("unterminated element <{open}>"))),
+            };
+        }
+    }
+
+    /// Read character data until (not including) the terminator byte,
+    /// resolving entities. Borrowed unless an entity needed decoding.
+    fn text_until(&mut self, terminator: u8) -> Result<Cow<'a, str>, XmlError> {
+        let start = self.pos;
+        let mut decoded: Option<String> = None;
+        loop {
+            let run = self.pos;
+            let Some(i) = self
+                .rest()
+                .iter()
+                .position(|&b| b == terminator || b == b'&')
+            else {
+                self.pos = self.src.len();
+                return Err(self.err("unexpected end of input in character data"));
+            };
+            self.pos += i;
+            if self.src.as_bytes()[self.pos] == terminator {
+                return Ok(match decoded {
+                    None => Cow::Borrowed(&self.src[start..self.pos]),
+                    Some(mut s) => {
+                        s.push_str(&self.src[run..self.pos]);
+                        Cow::Owned(s)
+                    }
+                });
+            }
+            let s = decoded.get_or_insert_with(String::new);
+            s.push_str(&self.src[run..self.pos]);
+            s.push(self.entity()?);
+        }
+    }
+
+    /// Decode the entity at the cursor (which is on its `&`).
+    fn entity(&mut self) -> Result<char, XmlError> {
+        let rest = &self.src[self.pos..];
+        let semi = rest
+            .find(';')
+            .ok_or_else(|| self.err("unterminated entity"))?;
+        let ent = &rest[1..semi];
+        let ch = match ent {
+            "lt" => '<',
+            "gt" => '>',
+            "amp" => '&',
+            "quot" => '"',
+            "apos" => '\'',
+            _ if ent.starts_with('#') => {
+                let num = &ent[1..];
+                let code = match num.strip_prefix('x') {
+                    Some(hex) => u32::from_str_radix(hex, 16),
+                    None => num.parse(),
+                }
+                .map_err(|_| self.err("bad character reference"))?;
+                char::from_u32(code).ok_or_else(|| self.err("bad character reference"))?
+            }
+            _ => return Err(self.err("unknown entity")),
+        };
+        self.pos += semi + 1;
+        Ok(ch)
+    }
+}
+
 /// Parse a document and return its root element.
 ///
 /// # Errors
 ///
 /// Returns [`XmlError`] on malformed input (unterminated tags, mismatched
-/// close tags, bad entities, trailing content).
+/// close tags, bad entities, trailing content, nesting deeper than
+/// [`MAX_DEPTH`]).
 ///
 /// # Examples
 ///
@@ -161,216 +486,37 @@ impl std::error::Error for XmlError {}
 /// # }
 /// ```
 pub fn parse(input: &str) -> Result<XmlElement, XmlError> {
-    let mut p = Parser {
-        bytes: input.as_bytes(),
-        pos: 0,
-    };
-    p.skip_prolog()?;
-    let root = p.parse_element()?;
-    p.skip_misc()?;
-    if p.pos < p.bytes.len() {
-        return Err(p.err("trailing content after root element"));
-    }
-    Ok(root)
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn err(&self, message: impl Into<String>) -> XmlError {
-        XmlError {
-            offset: self.pos,
-            message: message.into(),
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn starts_with(&self, s: &str) -> bool {
-        self.bytes[self.pos..].starts_with(s.as_bytes())
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\r' | b'\n')) {
-            self.pos += 1;
-        }
-    }
-
-    fn skip_prolog(&mut self) -> Result<(), XmlError> {
-        self.skip_misc()
-    }
-
-    /// Skip whitespace, comments, declarations and processing instructions.
-    fn skip_misc(&mut self) -> Result<(), XmlError> {
-        loop {
-            self.skip_ws();
-            if self.starts_with("<!--") {
-                self.skip_until("-->")?;
-            } else if self.starts_with("<?") {
-                self.skip_until("?>")?;
-            } else if self.starts_with("<!") {
-                // DOCTYPE and friends — skip to the closing '>'.
-                self.skip_until(">")?;
-            } else {
-                return Ok(());
-            }
-        }
-    }
-
-    fn skip_until(&mut self, end: &str) -> Result<(), XmlError> {
-        let hay = &self.bytes[self.pos..];
-        match hay.windows(end.len()).position(|w| w == end.as_bytes()) {
-            Some(i) => {
-                self.pos += i + end.len();
-                Ok(())
-            }
-            None => Err(self.err(format!("unterminated construct, expected {end:?}"))),
-        }
-    }
-
-    fn parse_name(&mut self) -> Result<String, XmlError> {
-        let start = self.pos;
-        while let Some(c) = self.peek() {
-            if c.is_ascii_alphanumeric() || matches!(c, b'_' | b'-' | b':' | b'.') {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-        if self.pos == start {
-            return Err(self.err("expected a name"));
-        }
-        Ok(String::from_utf8_lossy(&self.bytes[start..self.pos]).into_owned())
-    }
-
-    fn expect(&mut self, c: u8) -> Result<(), XmlError> {
-        if self.peek() == Some(c) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.err(format!("expected {:?}", c as char)))
-        }
-    }
-
-    fn parse_element(&mut self) -> Result<XmlElement, XmlError> {
-        self.expect(b'<')?;
-        let name = self.parse_name()?;
-        let mut el = XmlElement::new(name);
-        loop {
-            self.skip_ws();
-            match self.peek() {
-                Some(b'/') => {
-                    self.pos += 1;
-                    self.expect(b'>')?;
-                    return Ok(el);
-                }
-                Some(b'>') => {
-                    self.pos += 1;
-                    break;
-                }
-                Some(_) => {
-                    let attr = self.parse_name()?;
-                    self.skip_ws();
-                    self.expect(b'=')?;
-                    self.skip_ws();
-                    let quote = self
-                        .peek()
-                        .filter(|&q| q == b'"' || q == b'\'')
-                        .ok_or_else(|| self.err("expected quoted attribute value"))?;
-                    self.pos += 1;
-                    let value = self.parse_text_until(quote)?;
-                    self.expect(quote)?;
-                    el.attrs.push((attr, value));
-                }
-                None => return Err(self.err("unterminated start tag")),
-            }
-        }
-        // Content.
-        loop {
-            if self.starts_with("<!--") {
-                self.skip_until("-->")?;
-                continue;
-            }
-            if self.starts_with("</") {
-                self.pos += 2;
-                let close = self.parse_name()?;
-                if close != el.name {
-                    return Err(self.err(format!(
-                        "mismatched close tag </{}> for <{}>",
-                        close, el.name
-                    )));
-                }
-                self.skip_ws();
-                self.expect(b'>')?;
-                el.text = el.text.trim().to_owned();
-                return Ok(el);
-            }
-            match self.peek() {
-                Some(b'<') => {
-                    let child = self.parse_element()?;
-                    el.children.push(child);
-                }
-                Some(_) => {
-                    let t = self.parse_text_until(b'<')?;
-                    el.text.push_str(&t);
-                }
-                None => return Err(self.err(format!("unterminated element <{}>", el.name))),
-            }
-        }
-    }
-
-    /// Read character data until (not including) the terminator byte,
-    /// resolving entities.
-    fn parse_text_until(&mut self, terminator: u8) -> Result<String, XmlError> {
-        let mut out = String::new();
-        while let Some(c) = self.peek() {
-            if c == terminator {
-                return Ok(out);
-            }
-            if c == b'&' {
-                let rest = &self.bytes[self.pos..];
-                let semi = rest
+    let mut reader = Reader::new(input);
+    let mut open: Vec<XmlElement> = Vec::new();
+    let mut root = None;
+    while let Some(event) = reader.next_event()? {
+        match event {
+            Event::Start(name) => open.push(XmlElement {
+                name: name.to_owned(),
+                attrs: reader
+                    .attrs
                     .iter()
-                    .position(|&b| b == b';')
-                    .ok_or_else(|| self.err("unterminated entity"))?;
-                let ent = &rest[1..semi];
-                let ch = match ent {
-                    b"lt" => '<',
-                    b"gt" => '>',
-                    b"amp" => '&',
-                    b"quot" => '"',
-                    b"apos" => '\'',
-                    _ if ent.first() == Some(&b'#') => {
-                        let num = &ent[1..];
-                        let code = if num.first() == Some(&b'x') {
-                            u32::from_str_radix(&String::from_utf8_lossy(&num[1..]), 16)
-                        } else {
-                            String::from_utf8_lossy(num).parse()
-                        }
-                        .map_err(|_| self.err("bad character reference"))?;
-                        char::from_u32(code).ok_or_else(|| self.err("bad character reference"))?
-                    }
-                    _ => return Err(self.err("unknown entity")),
-                };
-                out.push(ch);
-                self.pos += semi + 1;
-            } else {
-                // Multi-byte UTF-8 passes through untouched.
-                let start = self.pos;
-                self.pos += 1;
-                while self.pos < self.bytes.len() && (self.bytes[self.pos] & 0xC0) == 0x80 {
-                    self.pos += 1;
+                    .map(|(k, v)| ((*k).to_owned(), v.clone().into_owned()))
+                    .collect(),
+                children: Vec::new(),
+                text: String::new(),
+            }),
+            Event::Text(t) => open
+                .last_mut()
+                .expect("text is inside an element")
+                .text
+                .push_str(&t),
+            Event::End(_) => {
+                let mut el = open.pop().expect("an end tag closes an open element");
+                el.text = el.text.trim().to_owned();
+                match open.last_mut() {
+                    Some(parent) => parent.children.push(el),
+                    None => root = Some(el),
                 }
-                out.push_str(&String::from_utf8_lossy(&self.bytes[start..self.pos]));
             }
         }
-        Err(self.err("unexpected end of input in character data"))
     }
+    Ok(root.expect("the reader finishes only after the root closes"))
 }
 
 #[cfg(test)]
@@ -462,5 +608,50 @@ mod tests {
     fn utf8_text_preserved() {
         let doc = parse("<p>héllo — 世界</p>").unwrap();
         assert_eq!(doc.text, "héllo — 世界");
+    }
+
+    #[test]
+    fn depth_limit_is_exact() {
+        let nest = |n: usize| format!("{}{}", "<a>".repeat(n), "</a>".repeat(n));
+        assert!(parse(&nest(MAX_DEPTH)).is_ok());
+        let e = parse(&nest(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(
+            e.offset,
+            3 * MAX_DEPTH,
+            "reported at the first '<' too deep"
+        );
+        assert!(e.message.contains("depth limit of 256"), "{e}");
+    }
+
+    #[test]
+    fn reader_borrows_unless_decoding() {
+        let mut r = Reader::new("<p a=\"x\" b=\"&amp;\">one<!-- c -->t&lt;o<q/></p>");
+        assert_eq!(r.next_event().unwrap(), Some(Event::Start("p")));
+        assert!(matches!(r.attrs[0].1, Cow::Borrowed("x")));
+        assert!(matches!(r.attrs[1].1, Cow::Owned(ref v) if v == "&"));
+        assert!(matches!(
+            r.next_event().unwrap(),
+            Some(Event::Text(Cow::Borrowed("one")))
+        ));
+        assert_eq!(r.depth(), 1);
+        assert!(
+            matches!(r.next_event().unwrap(), Some(Event::Text(Cow::Owned(ref t))) if t == "t<o")
+        );
+        assert_eq!(r.next_event().unwrap(), Some(Event::Start("q")));
+        assert_eq!(r.depth(), 2);
+        assert_eq!(r.next_event().unwrap(), Some(Event::End("q")));
+        assert_eq!(r.next_event().unwrap(), Some(Event::End("p")));
+        assert_eq!(r.depth(), 0);
+        assert_eq!(r.next_event().unwrap(), None);
+    }
+
+    #[test]
+    fn error_offsets_are_where_the_fault_is() {
+        let at = |s: &str| parse(s).unwrap_err().offset;
+        assert_eq!(at("<a></b>"), 6);
+        assert_eq!(at("<a>&bad;</a>"), 3);
+        assert_eq!(at("<a>text"), 7);
+        assert_eq!(at("<a/> x"), 5);
+        assert_eq!(at("<!-- open"), 0);
     }
 }

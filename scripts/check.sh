@@ -24,6 +24,13 @@ CARGO_TARGET_DIR=.bench_build cargo build --release --offline --locked \
 CARGO_TARGET_DIR=.bench_build cargo test -q --release --offline --locked \
     --manifest-path ledger/Cargo.toml
 
+echo "==> ledger smoke run (one short traced corpus-cold run: C-digest oracle holds, no op fails)"
+CARGO_TARGET_DIR=.bench_build cargo run -q --release --offline --locked \
+    --manifest-path ledger/Cargo.toml -- run --workload corpus-cold --seed 1 \
+    --seconds 2 --trace 1 --out target/ledger-smoke > target/ledger-smoke.txt
+tail -n 1 target/ledger-smoke.txt | grep -q '"correct": true'
+tail -n 1 target/ledger-smoke.txt | grep -q '"failed": 0,'
+
 echo "==> lint example models"
 cargo run -q --release -p hcg-bench --bin lint -- examples/models/*.xml
 
