@@ -535,7 +535,7 @@ fn incremental_cmd(args: &cli::CommonArgs) {
         fleet::FLEET_ARCHES.len()
     );
     outln!(
-        "  {:>10} {:>6} {:>14} {:>14} {:>9} {:>10} {:>12} {:>9}",
+        "  {:>10} {:>6} {:>14} {:>14} {:>9} {:>10} {:>12} {:>9} {:>9}",
         "Model",
         "edits",
         "incr(ms)",
@@ -543,7 +543,8 @@ fn incremental_cmd(args: &cli::CommonArgs) {
         "speedup",
         "admitted",
         "invalidated",
-        "spliced"
+        "spliced",
+        "patched"
     );
     let mut all_identical = true;
     let (mut inc_total, mut scratch_total) = (0.0f64, 0.0f64);
@@ -552,7 +553,7 @@ fn incremental_cmd(args: &cli::CommonArgs) {
         inc_total += r.incremental.as_secs_f64();
         scratch_total += r.scratch.as_secs_f64();
         outln!(
-            "  {:>10} {:>6} {:>14.2} {:>14.2} {:>8.2}x {:>10} {:>12} {:>9}",
+            "  {:>10} {:>6} {:>14.2} {:>14.2} {:>8.2}x {:>10} {:>12} {:>9} {:>9}",
             r.model,
             r.edits,
             r.incremental.as_secs_f64() * 1e3,
@@ -560,18 +561,20 @@ fn incremental_cmd(args: &cli::CommonArgs) {
             r.speedup(),
             r.regions_admitted,
             r.regions_invalidated,
-            r.plans_spliced
+            r.plans_spliced,
+            r.programs_patched
         );
     }
     let overall = scratch_total / inc_total.max(1e-12);
     outln!("  overall speedup: {overall:.2}x (scratch {scratch_total:.3}s / incremental {inc_total:.3}s)");
-    outln!("  incremental outputs byte-identical to scratch: {all_identical}");
+    outln!("  incremental programs identical to scratch: {all_identical}");
     outln!(
-        "  metrics: {} edits applied, {} regions admitted, {} invalidated, {} plans spliced",
+        "  metrics: {} edits applied, {} regions admitted, {} invalidated, {} plans spliced, {} programs patched",
         rows.iter().map(|r| r.edits).sum::<usize>(),
         rows.iter().map(|r| r.regions_admitted).sum::<u64>(),
         rows.iter().map(|r| r.regions_invalidated).sum::<u64>(),
-        rows.iter().map(|r| r.plans_spliced).sum::<u64>()
+        rows.iter().map(|r| r.plans_spliced).sum::<u64>(),
+        rows.iter().map(|r| r.programs_patched).sum::<u64>()
     );
     if let Some(path) = &args.json {
         let mut body = String::from("{\n  \"experiment\": \"incremental\",\n  \"models\": [\n");
@@ -579,7 +582,8 @@ fn incremental_cmd(args: &cli::CommonArgs) {
             body.push_str(&format!(
                 "    {{\"model\": \"{}\", \"edits\": {}, \"incremental_ms\": {:.3}, \
                  \"scratch_ms\": {:.3}, \"speedup\": {:.3}, \"identical\": {}, \
-                 \"regions_admitted\": {}, \"regions_invalidated\": {}, \"plans_spliced\": {}}}{}\n",
+                 \"regions_admitted\": {}, \"regions_invalidated\": {}, \"plans_spliced\": {}, \
+                 \"programs_patched\": {}}}{}\n",
                 r.model,
                 r.edits,
                 r.incremental.as_secs_f64() * 1e3,
@@ -589,6 +593,7 @@ fn incremental_cmd(args: &cli::CommonArgs) {
                 r.regions_admitted,
                 r.regions_invalidated,
                 r.plans_spliced,
+                r.programs_patched,
                 if i + 1 == rows.len() { "" } else { "," }
             ));
         }

@@ -3,7 +3,7 @@
 //! remainder data (paper §3, Algorithm 2 line 4), and by the baselines for
 //! everything.
 
-use crate::generator::{GenContext, GenError};
+use crate::generator::{data_initialiser, GenContext, GenError};
 use hcg_model::op::ElemOp;
 use hcg_model::{Actor, ActorKind, PortRef, Shape};
 use hcg_vm::{BufferId, ElemRef, IndexExpr, ScalarOp, Stmt};
@@ -110,15 +110,14 @@ pub fn emit_conventional(
         Gain => {
             // Materialise the gain factor as a one-element constant and
             // multiply by it.
-            let g = actor
-                .param("gain")
-                .and_then(|p| p.as_float())
+            let g = data_initialiser(actor)
                 .ok_or_else(|| GenError::Internal(format!("{} missing gain", actor.name)))?;
-            let gbuf = ctx.prog.add_buffer(
+            let gbuf = ctx.add_data_buffer(
+                id,
                 format!("{}_gain", crate::generator::sanitize(&actor.name)),
                 hcg_model::SignalType::scalar(out_ty.dtype),
                 hcg_vm::BufferKind::Const,
-                Some(vec![g]),
+                Some(g),
             );
             let srcs = [
                 operand(ctx, 0)?,

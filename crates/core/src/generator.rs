@@ -13,7 +13,7 @@ use hcg_isa::Arch;
 use hcg_kernels::SelectError;
 use hcg_model::naming::unique_identifier;
 use hcg_model::schedule::{schedule, Schedule};
-use hcg_model::{ActorId, ActorKind, Model, ModelError, PortRef, TypeMap};
+use hcg_model::{Actor, ActorId, ActorKind, Model, ModelError, PortRef, SignalType, TypeMap};
 use hcg_vm::{BufferId, BufferKind, Origin, Program, Stmt};
 use std::borrow::Cow;
 use std::collections::BTreeSet;
@@ -137,6 +137,9 @@ pub struct GenContext<'m> {
     /// The program under construction.
     pub prog: Program,
     out_buf: Vec<BufferId>,
+    // Every identifier a buffer holds, for `add_buffer`'s deduplication.
+    used_names: BTreeSet<String>,
+    data_buffers: Vec<(ActorId, BufferId)>,
     written_outports: BTreeSet<ActorId>,
     // `(top-level statement index, origin)` marks recorded by `set_origin`;
     // each mark covers statements up to the next mark. Materialised into
@@ -191,61 +194,81 @@ impl<'m> GenContext<'m> {
         arch: Arch,
         generator: &str,
     ) -> Result<Self, GenError> {
-        let mut prog = Program::new(model.name.clone(), generator, arch);
-        let mut out_buf = Vec::with_capacity(model.actors.len());
-        // Distinct actor names can sanitize to one identifier; dedupe with
-        // a numeric suffix so buffers never silently alias.
-        let mut used = BTreeSet::new();
-        for a in &model.actors {
-            let name = unique_identifier(sanitize(&a.name), &mut used);
-            let id = match a.kind {
-                ActorKind::Inport => {
-                    prog.add_buffer(name, types.output(a.id, 0), BufferKind::Input, None)
-                }
-                ActorKind::Outport => {
-                    // The outport's buffer matches its *input* type.
-                    let src = model
-                        .driver(PortRef::new(a.id, 0))
-                        .ok_or_else(|| GenError::Internal("unconnected outport".into()))?;
-                    prog.add_buffer(
-                        name,
-                        types.output(src.actor, src.port),
-                        BufferKind::Output,
-                        None,
-                    )
-                }
-                ActorKind::Constant => {
-                    let value = a
-                        .param("value")
-                        .and_then(|p| p.as_float_vec())
-                        .ok_or_else(|| GenError::Internal("constant without value".into()))?;
-                    prog.add_buffer(name, types.output(a.id, 0), BufferKind::Const, Some(value))
-                }
-                ActorKind::UnitDelay => {
-                    let init = a.param("init").and_then(|p| p.as_float_vec());
-                    prog.add_buffer(name, types.output(a.id, 0), BufferKind::State, init)
-                }
-                _ => {
-                    let ty = if a.kind.output_count() > 0 {
-                        types.output(a.id, 0)
-                    } else {
-                        // Sink with no output: zero-length placeholder.
-                        types.output(a.id, 0)
-                    };
-                    prog.add_buffer(name, ty, BufferKind::Temp, None)
-                }
-            };
-            out_buf.push(id);
-        }
-        Ok(GenContext {
+        let mut ctx = GenContext {
             model,
             types,
             schedule: sched,
-            prog,
-            out_buf,
+            prog: Program::new(model.name.clone(), generator, arch),
+            out_buf: Vec::with_capacity(model.actors.len()),
+            used_names: BTreeSet::new(),
+            data_buffers: Vec::new(),
             written_outports: BTreeSet::new(),
             origin_marks: Vec::new(),
-        })
+        };
+        for a in &model.actors {
+            let name = sanitize(&a.name);
+            let ty = if a.kind == ActorKind::Outport {
+                // The outport's buffer matches its *input* type.
+                let src = model
+                    .driver(PortRef::new(a.id, 0))
+                    .ok_or_else(|| GenError::Internal("unconnected outport".into()))?;
+                ctx.types.output(src.actor, src.port)
+            } else {
+                ctx.types.output(a.id, 0)
+            };
+            let id = match a.kind {
+                ActorKind::Inport => ctx.add_buffer(name, ty, BufferKind::Input, None),
+                ActorKind::Outport => ctx.add_buffer(name, ty, BufferKind::Output, None),
+                ActorKind::Constant => {
+                    let value = data_initialiser(a)
+                        .ok_or_else(|| GenError::Internal("constant without value".into()))?;
+                    ctx.add_data_buffer(a.id, name, ty, BufferKind::Const, Some(value))
+                }
+                ActorKind::UnitDelay => {
+                    ctx.add_data_buffer(a.id, name, ty, BufferKind::State, data_initialiser(a))
+                }
+                _ => ctx.add_buffer(name, ty, BufferKind::Temp, None),
+            };
+            ctx.out_buf.push(id);
+        }
+        Ok(ctx)
+    }
+
+    /// Declare a buffer named `base`, suffixed (`_2`, `_3`, …) if another
+    /// buffer already holds that identifier: distinct actor names can
+    /// sanitize to one identifier, and derived names (`k_gain`, `z_next`)
+    /// can meet an actor's own, so buffers never silently alias.
+    pub fn add_buffer(
+        &mut self,
+        base: String,
+        ty: SignalType,
+        kind: BufferKind,
+        init: Option<Vec<f64>>,
+    ) -> BufferId {
+        let name = unique_identifier(base, &mut self.used_names);
+        self.prog.add_buffer(name, ty, kind, init)
+    }
+
+    /// [`GenContext::add_buffer`] for a buffer whose initialiser is
+    /// `actor`'s [`data_initialiser`], recorded in
+    /// [`GenContext::data_buffers`] so a data-only edit can rewrite it.
+    pub fn add_data_buffer(
+        &mut self,
+        actor: ActorId,
+        base: String,
+        ty: SignalType,
+        kind: BufferKind,
+        init: Option<Vec<f64>>,
+    ) -> BufferId {
+        let id = self.add_buffer(base, ty, kind, init);
+        self.data_buffers.push((actor, id));
+        id
+    }
+
+    /// Every buffer whose initialiser comes from an actor's data
+    /// parameter, as `(actor, buffer)` in declaration order.
+    pub fn data_buffers(&self) -> &[(ActorId, BufferId)] {
+        &self.data_buffers
     }
 
     /// Attribute every top-level statement emitted from now on (until the
@@ -343,11 +366,8 @@ impl<'m> GenContext<'m> {
         for &d in &cyclic {
             if let Ok(src) = self.value_buffer(PortRef::new(d, 0)) {
                 let ty = self.types.output(d, 0);
-                let shadow = self.prog.add_buffer(
-                    format!(
-                        "{}_next",
-                        self.prog.buffer(self.actor_buffer(d)).name.clone()
-                    ),
+                let shadow = self.add_buffer(
+                    format!("{}_next", self.prog.buffer(self.actor_buffer(d)).name),
                     ty,
                     BufferKind::Temp,
                     None,
@@ -398,6 +418,24 @@ impl<'m> GenContext<'m> {
         }
         self.prog.origins = origins;
         self.prog
+    }
+}
+
+/// The initialiser a data parameter gives `actor`'s buffer: a `Constant`'s
+/// `value`, a `UnitDelay`'s `init`, or a `Gain`'s `gain` as a one-element
+/// array; `None` for every other kind or a missing or non-numeric value.
+///
+/// These are the only parameters that reach a program as data rather than
+/// code (see [`hcg_model::ModelDelta::data_only`]). The generator computes
+/// each such initialiser through this function and
+/// [`crate::EditSession`] rewrites them through it after a data-only edit,
+/// so the two cannot drift.
+pub fn data_initialiser(actor: &Actor) -> Option<Vec<f64>> {
+    match actor.kind {
+        ActorKind::Constant => actor.param("value")?.as_float_vec(),
+        ActorKind::UnitDelay => actor.param("init")?.as_float_vec(),
+        ActorKind::Gain => actor.param("gain")?.as_float().map(|g| vec![g]),
+        _ => None,
     }
 }
 
@@ -542,6 +580,74 @@ mod tests {
         assert!(names.contains(&"a_b_2"), "{names:?}");
         let unique: std::collections::BTreeSet<&str> = names.iter().copied().collect();
         assert_eq!(unique.len(), names.len(), "buffer names must be unique");
+    }
+
+    /// Derived buffer names meeting actor names: a `Gain` named `k` next
+    /// to an actor `k_gain`, and a swapping delay pair whose shadows
+    /// (`z_next`, `w_next`) meet an actor `z_next`.
+    fn derived_name_collisions() -> Model {
+        use hcg_model::{DataType, ModelBuilder, SignalType};
+        let ty = SignalType::vector(DataType::F32, 8);
+        let mut b = ModelBuilder::new("derived");
+        let x = b.inport("x", ty);
+        let k = b.gain("k", 3.0);
+        let kg = b.add_actor("k_gain", ActorKind::Neg);
+        let o = b.outport("o");
+        b.connect(x, 0, k, 0);
+        b.connect(k, 0, kg, 0);
+        b.connect(kg, 0, o, 0);
+        let z = b.unit_delay("z", Some(ty));
+        let w = b.unit_delay("w", Some(ty));
+        let zn = b.add_actor("z_next", ActorKind::Add);
+        let o2 = b.outport("o2");
+        b.connect(w, 0, z, 0);
+        b.connect(z, 0, w, 0);
+        b.connect(z, 0, zn, 0);
+        b.connect(kg, 0, zn, 1);
+        b.connect(zn, 0, o2, 0);
+        b.build().unwrap()
+    }
+
+    #[test]
+    fn derived_buffer_names_never_collide() {
+        let m = derived_name_collisions();
+        for arch in Arch::ALL {
+            let prog = crate::HcgGen::new().generate(&m, arch).unwrap();
+            let names: Vec<&str> = prog.buffers.iter().map(|b| b.name.as_str()).collect();
+            let unique: BTreeSet<&str> = names.iter().copied().collect();
+            assert_eq!(unique.len(), names.len(), "{arch}: {names:?}");
+            for derived in ["k_gain_2", "z_next_2"] {
+                assert!(names.contains(&derived), "{arch}: {names:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn data_buffers_record_every_parameter_initialiser() {
+        let m = derived_name_collisions();
+        let prog = crate::HcgGen::new().generate(&m, Arch::Neon128).unwrap();
+        let mut ctx = GenContext::new(&m, Arch::Neon128, "test").unwrap();
+        let k = m.actor_by_name("k").unwrap().clone();
+        crate::conventional::emit_conventional(&mut ctx, &k, crate::LoopStyle::LOOPS).unwrap();
+        let recorded: Vec<(&str, &str)> = ctx
+            .data_buffers()
+            .iter()
+            .map(|&(a, b)| {
+                (
+                    m.actors[a.0].name.as_str(),
+                    ctx.prog.buffer(b).name.as_str(),
+                )
+            })
+            .collect();
+        assert_eq!(recorded, [("z", "z"), ("w", "w"), ("k", "k_gain_2")]);
+        for &(a, b) in ctx.data_buffers() {
+            let decl = ctx.prog.buffer(b);
+            assert_eq!(decl.init, data_initialiser(&m.actors[a.0]));
+            let in_prog = prog
+                .buffer_by_name(&decl.name)
+                .map(|id| &prog.buffer(id).init);
+            assert_eq!(in_prog, Some(&decl.init));
+        }
     }
 
     #[test]

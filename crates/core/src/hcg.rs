@@ -20,7 +20,7 @@ use std::cell::RefCell;
 use std::collections::BTreeSet;
 
 /// Configuration of the HCG generator.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HcgOptions {
     /// Minimum region size to vectorise (see [`BatchOptions::simd_threshold`]).
     pub simd_threshold: usize,

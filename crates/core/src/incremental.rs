@@ -21,6 +21,14 @@
 //!   so the result is byte-identical to a from-scratch compile *by
 //!   construction* — the cache only short-circuits work whose output is
 //!   provably unchanged.
+//! * **patch** — a [`ModelDelta::data_only`] edit (a `Constant` value, a
+//!   `Gain` factor or a `UnitDelay` initial state, same shape) changes no
+//!   code, only constant data. The session keeps the last HCG program per
+//!   (arch, [`HcgOptions`]) together with the buffers whose initialisers
+//!   come from data parameters; after a data-only edit it clones that
+//!   program and rewrites those initialisers through the generator's own
+//!   [`data_initialiser`], skipping the three phases above. Any other
+//!   delta drops the kept programs.
 //!
 //! Counters live in the session's [`IncrementalStats`]
 //! ([`EditSession::stats`]); each phase opens an `incremental` span for
@@ -28,8 +36,8 @@
 
 use crate::batch::{form_regions_probed, plan_region_cached, PlanCache};
 use crate::dispatch::{classify, Dispatch};
-use crate::generator::{debug_lint, CodeGenerator, GenContext, GenError};
-use crate::hcg::{compose_into, HcgGen};
+use crate::generator::{data_initialiser, debug_lint, CodeGenerator, GenContext, GenError};
+use crate::hcg::{compose_into, HcgGen, HcgOptions};
 use crate::pass::{PassManager, PipelineCtx};
 use hcg_isa::{Arch, CostOverlay};
 use hcg_kernels::{Autotuner, Meter};
@@ -37,7 +45,7 @@ use hcg_model::delta::downstream_closure;
 use hcg_model::op::ElemOp;
 use hcg_model::schedule::{schedule, Schedule};
 use hcg_model::{ActorId, DataType, FrontEnd, Model, ModelDelta, SignalType};
-use hcg_vm::Program;
+use hcg_vm::{BufferId, Program};
 use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -71,6 +79,9 @@ pub struct IncrementalStats {
     /// Algorithm-1 kernel selections adopted from the session history
     /// instead of re-measured by quick-search.
     pub kernel_selections_reused: u64,
+    /// Programs served by patching the initialisers of a kept program
+    /// after data-only edits, instead of regenerating.
+    pub programs_patched: u64,
 }
 
 /// An editable compilation session: apply [`ModelDelta`]s and recompile
@@ -133,7 +144,32 @@ pub struct EditSession {
     /// [`Meter::OpCount`]: a wall-clock selection replayed from history
     /// could diverge from what a fresh compile would measure.
     tuner: Option<Autotuner>,
+    /// The last HCG program per (arch, options), valid for the current
+    /// model up to its data initialisers; cleared by any delta that is
+    /// not data-only.
+    kept: Vec<KeptProgram>,
     stats: IncrementalStats,
+}
+
+/// An HCG program kept for patching, with the configuration it was
+/// compiled under.
+#[derive(Debug)]
+struct KeptProgram {
+    arch: Arch,
+    options: HcgOptions,
+    program: Program,
+    /// `(actor, buffer)` for every buffer initialised from a data
+    /// parameter (see [`GenContext::data_buffers`]).
+    data: Vec<(ActorId, BufferId)>,
+}
+
+impl KeptProgram {
+    /// Rewrite every data initialiser from `model`'s current parameters.
+    fn patch(&mut self, model: &Model) {
+        for &(actor, buf) in &self.data {
+            self.program.buffers[buf.0].init = data_initialiser(&model.actors[actor.0]);
+        }
+    }
 }
 
 /// The memos an [`EditSession`] keeps for one instruction set.
@@ -159,6 +195,7 @@ impl EditSession {
             last_dirty: BTreeSet::new(),
             memos: BTreeMap::new(),
             tuner: None,
+            kept: Vec::new(),
             stats: IncrementalStats::default(),
         }
     }
@@ -178,14 +215,26 @@ impl EditSession {
     /// affect (the schedule only for structural deltas; per-actor types and
     /// dispatch stay for clean actors).
     ///
+    /// A [data-only](ModelDelta::data_only) delta against a valid model
+    /// only swaps in the new model: the front end, dispatch, schedule and
+    /// dirty set all still hold, and [`EditSession::generate`] patches the
+    /// kept programs' initialisers. Any other delta drops the kept
+    /// programs.
+    ///
     /// # Errors
     ///
     /// Returns [`GenError::Model`] when an op fails to apply (unknown or
     /// duplicate actor name); the session is left unchanged in that case.
     pub fn apply_delta(&mut self, delta: &ModelDelta) -> Result<(), GenError> {
         let _span = hcg_obs::span("incremental", "diff");
+        if matches!(self.front, Some(Ok(_))) && delta.data_only(&self.model) {
+            self.model = delta.apply(&self.model)?;
+            self.stats.edits_applied += 1;
+            return Ok(());
+        }
         let touched = delta.touched_actors(&self.model);
         let next = delta.apply(&self.model)?;
+        self.kept.clear();
         self.dirty.extend(downstream_closure(&next, &touched));
         if delta.structural() {
             self.prev_schedule = None;
@@ -305,9 +354,10 @@ impl EditSession {
     }
 
     /// Generate code for the current model, splicing cached region plans
-    /// for everything the edits since the last compile cannot affect. The
-    /// output is byte-identical to a from-scratch compile of the same
-    /// model.
+    /// for everything the edits since the last compile cannot affect, or
+    /// patching the kept program when only data changed since it was
+    /// compiled. The output is identical to a from-scratch compile of the
+    /// same model.
     ///
     /// # Errors
     ///
@@ -339,6 +389,18 @@ impl EditSession {
                         self.stats.kernel_selections_reused += saved.history_len() as u64;
                     }
                 }
+                // Only a program whose kernel selections a fresh compile
+                // would repeat, over a builtin instruction set, is kept.
+                let keep = reuse && hcg.options.instr_set.is_none();
+                if keep {
+                    let key = |k: &&mut KeptProgram| k.arch == arch && k.options == hcg.options;
+                    if let Some(kept) = self.kept.iter_mut().find(key) {
+                        let _span = hcg_obs::span("incremental", "patch");
+                        kept.patch(&self.model);
+                        self.stats.programs_patched += 1;
+                        return Ok(kept.program.clone());
+                    }
+                }
                 // A custom instruction set is private to its generator:
                 // its probes and plans go to a memo dropped after this
                 // compile.
@@ -353,7 +415,7 @@ impl EditSession {
                             .or_default()
                     }
                 };
-                let prog = generate_hcg(
+                let (prog, data) = generate_hcg(
                     &self.model,
                     fe,
                     dispatch,
@@ -366,6 +428,14 @@ impl EditSession {
                 )?;
                 if reuse {
                     self.tuner = Some(tuner.clone());
+                }
+                if keep {
+                    self.kept.push(KeptProgram {
+                        arch,
+                        options: hcg.options.clone(),
+                        program: prog.clone(),
+                        data,
+                    });
                 }
                 Ok(prog)
             }
@@ -390,7 +460,8 @@ impl EditSession {
 /// The incremental HCG back end: form regions (memoised admission
 /// probes), splice cached plans for clean regions, re-map dirty ones, and
 /// re-emit the whole program deterministically. `memo` must belong to the
-/// generator's instruction set for `arch`.
+/// generator's instruction set for `arch`. Returns the program with its
+/// data buffers (see [`GenContext::data_buffers`]).
 #[allow(clippy::too_many_arguments)]
 fn generate_hcg(
     model: &Model,
@@ -402,7 +473,7 @@ fn generate_hcg(
     memo: &mut SetMemo,
     dirty: &BTreeSet<String>,
     stats: &mut IncrementalStats,
-) -> Result<Program, GenError> {
+) -> Result<(Program, Vec<(ActorId, BufferId)>), GenError> {
     let _span = hcg_obs::span("incremental", "splice");
     let (set, index) = hcg.instr_set_indexed(arch);
     let mut ctx = GenContext::with_artifacts(model, &fe.types, &fe.schedule, arch, hcg.name())?;
@@ -450,9 +521,10 @@ fn generate_hcg(
     stats.regions_invalidated += invalidated;
     stats.plans_spliced += spliced;
 
+    let data = ctx.data_buffers().to_vec();
     let prog = ctx.finish();
     debug_lint(&prog);
-    Ok(prog)
+    Ok((prog, data))
 }
 
 #[cfg(test)]
@@ -634,21 +706,50 @@ mod tests {
     }
 
     #[test]
-    fn plan_cache_serves_repeat_generates() {
+    fn repeat_generates_reuse_the_kept_program_and_plans() {
         let mut session = EditSession::new(library::fig4_model());
         let hcg = HcgGen::new();
-        let p1 = session.generate(&hcg, Arch::Neon128).unwrap();
+        let arch = Arch::Neon128;
+        let p1 = session.generate(&hcg, arch).unwrap();
         let first = session.stats();
-        let p2 = session.generate(&hcg, Arch::Neon128).unwrap();
-        assert_eq!(to_c_source(&p1), to_c_source(&p2));
+        // Nothing changed: the kept program is served, nothing re-maps.
+        let p2 = session.generate(&hcg, arch).unwrap();
+        assert_eq!(p1, p2);
         let second = session.stats();
-        assert_eq!(second.plans_spliced, first.plans_spliced, "no new mapping");
+        assert_eq!(second.programs_patched, first.programs_patched + 1);
         assert_eq!(second.plan_misses, first.plan_misses);
+        assert_eq!(second.plans_spliced, first.plans_spliced, "no new mapping");
+        // A code-shaping edit and its reversal: the reverted region is
+        // served from the plan cache.
+        let amount = session
+            .model()
+            .actor_by_name("Shr")
+            .unwrap()
+            .param("amount")
+            .cloned();
+        for value in [Param::Int(2), amount.expect("fig4 Shr has an amount")] {
+            session
+                .apply_delta(&ModelDelta::single(EditOp::SetParam {
+                    name: "Shr".into(),
+                    param: "amount".into(),
+                    value,
+                }))
+                .unwrap();
+            let _ = session.generate(&hcg, arch).unwrap();
+        }
+        let third = session.stats();
+        assert_eq!(third.programs_patched, second.programs_patched);
         assert_eq!(
-            second.plan_hits,
-            first.plan_hits + 1,
-            "the fig4 region is served from the plan cache"
+            third.plan_misses,
+            second.plan_misses + 1,
+            "only amount 2 maps"
         );
+        assert_eq!(
+            third.plan_hits,
+            second.plan_hits + 1,
+            "the reverted fig4 region is served from the plan cache"
+        );
+        assert_eq!(session.generate(&hcg, arch).unwrap(), p1);
     }
 
     #[test]
@@ -663,6 +764,202 @@ mod tests {
         let prog = session.generate(&scalar, arch).unwrap();
         assert_eq!(prog.stmt_stats().vops, 0, "threshold 100 disables SIMD");
         assert_eq!(prog, scalar.generate(session.model(), arch).unwrap());
+    }
+
+    /// `x·g + k` latched through a delay: one actor per data parameter.
+    fn data_bed() -> Model {
+        use hcg_model::{DataType, ModelBuilder, SignalType};
+        let ty = SignalType::vector(DataType::F32, 16);
+        let mut b = ModelBuilder::new("DataBed");
+        let x = b.inport("x", ty);
+        let g = b.gain("g", 2.0);
+        let k = b.constant("k", ty, vec![0.5; 16]);
+        let add = b.add_actor("add", ActorKind::Add);
+        let z = b.unit_delay("z", Some(ty));
+        b.set_param(z, "init", Param::FloatVec(vec![1.0; 16]));
+        let o = b.outport("y");
+        b.connect(x, 0, g, 0);
+        b.connect(g, 0, add, 0);
+        b.connect(k, 0, add, 1);
+        b.connect(add, 0, z, 0);
+        b.connect(z, 0, o, 0);
+        b.build().expect("data bed is valid")
+    }
+
+    fn set(name: &str, param: &str, value: Param) -> ModelDelta {
+        ModelDelta::single(EditOp::SetParam {
+            name: name.into(),
+            param: param.into(),
+            value,
+        })
+    }
+
+    /// Generate both arches through `session` and assert each program
+    /// equals a scratch compile by a fresh generator with `options`.
+    fn assert_programs_match(session: &mut EditSession, options: &HcgOptions, label: &str) {
+        for arch in Arch::ALL {
+            let inc = session
+                .generate(&HcgGen::with_options(options.clone()), arch)
+                .unwrap_or_else(|e| panic!("{label} on {arch}: {e}"));
+            let fresh = HcgGen::with_options(options.clone())
+                .generate(session.model(), arch)
+                .unwrap_or_else(|e| panic!("{label} scratch on {arch}: {e}"));
+            assert_eq!(inc, fresh, "{label} on {arch}");
+        }
+    }
+
+    #[test]
+    fn data_edits_patch_the_kept_program() {
+        let options = HcgOptions::default();
+        let mut session = EditSession::new(data_bed());
+        assert_programs_match(&mut session, &options, "cold");
+        assert_eq!(session.stats().programs_patched, 0);
+        let edits = [
+            set(
+                "k",
+                "value",
+                Param::FloatVec((0..16).map(f64::from).collect()),
+            ),
+            set("g", "gain", Param::Float(-3.5)),
+            set("z", "init", Param::FloatVec(vec![-2.0; 16])),
+        ];
+        for (i, delta) in edits.iter().enumerate() {
+            assert!(delta.data_only(session.model()));
+            let before = session.stats();
+            session.apply_delta(delta).unwrap();
+            assert_programs_match(&mut session, &options, &format!("edit {i}"));
+            let after = session.stats();
+            assert_eq!(
+                after.programs_patched,
+                before.programs_patched + Arch::ALL.len() as u64,
+                "edit {i} patches both arches"
+            );
+            assert_eq!(
+                after.plan_hits + after.plan_misses,
+                before.plan_hits + before.plan_misses
+            );
+        }
+    }
+
+    #[test]
+    fn reshaping_constant_edit_regenerates() {
+        let options = HcgOptions::default();
+        let mut session = EditSession::new(data_bed());
+        assert_programs_match(&mut session, &options, "cold");
+        // One element broadcasts: still valid, but not the same shape.
+        let delta = set("k", "value", Param::FloatVec(vec![4.0]));
+        assert!(!delta.data_only(session.model()));
+        session.apply_delta(&delta).unwrap();
+        assert_programs_match(&mut session, &options, "reshaped");
+        assert_eq!(session.stats().programs_patched, 0);
+        // The regenerated program is kept in turn.
+        session
+            .apply_delta(&set("k", "value", Param::FloatVec(vec![5.0])))
+            .unwrap();
+        assert_programs_match(&mut session, &options, "after reshape");
+        assert_eq!(session.stats().programs_patched, Arch::ALL.len() as u64);
+    }
+
+    #[test]
+    fn data_edit_after_structural_edit_matches_scratch() {
+        let options = HcgOptions::default();
+        let mut session = EditSession::new(data_bed());
+        assert_programs_match(&mut session, &options, "cold");
+        session
+            .apply_delta(&ModelDelta {
+                ops: vec![
+                    EditOp::AddActor {
+                        name: "neg".into(),
+                        kind: ActorKind::Neg,
+                        params: Default::default(),
+                    },
+                    EditOp::Connect {
+                        from: ("add".into(), 0),
+                        to: ("neg".into(), 0),
+                    },
+                    EditOp::Connect {
+                        from: ("neg".into(), 0),
+                        to: ("z".into(), 0),
+                    },
+                ],
+            })
+            .unwrap();
+        // The structural delta dropped the kept programs: the data edit
+        // right after it must not patch a program of the old structure.
+        session
+            .apply_delta(&set("g", "gain", Param::Float(7.0)))
+            .unwrap();
+        assert_programs_match(&mut session, &options, "structural then data");
+        assert_eq!(session.stats().programs_patched, 0);
+        session
+            .apply_delta(&set("g", "gain", Param::Float(8.0)))
+            .unwrap();
+        assert_programs_match(&mut session, &options, "data after regenerate");
+        assert_eq!(session.stats().programs_patched, Arch::ALL.len() as u64);
+    }
+
+    #[test]
+    fn data_edit_while_front_end_fails_matches_scratch() {
+        let options = HcgOptions::default();
+        let mut session = EditSession::new(data_bed());
+        assert_programs_match(&mut session, &options, "cold");
+        session
+            .apply_delta(&ModelDelta::single(EditOp::Disconnect {
+                to: ("add".into(), 1),
+            }))
+            .unwrap();
+        assert!(session.validate().is_err());
+        session
+            .apply_delta(&set("k", "value", Param::FloatVec(vec![9.0; 16])))
+            .unwrap();
+        for arch in Arch::ALL {
+            let inc = session.generate(&HcgGen::new(), arch);
+            let fresh = HcgGen::new().generate(session.model(), arch);
+            assert!(inc.is_err(), "invalid model must not be patched");
+            assert_eq!(inc.err(), fresh.err());
+        }
+        session
+            .apply_delta(&ModelDelta::single(EditOp::Connect {
+                from: ("k".into(), 0),
+                to: ("add".into(), 1),
+            }))
+            .unwrap();
+        assert_programs_match(&mut session, &options, "fixed");
+        assert_eq!(session.stats().programs_patched, 0);
+        assert_eq!(
+            session.model().actor_by_name("k").unwrap().param("value"),
+            Some(&Param::FloatVec(vec![9.0; 16])),
+            "the edit made while invalid is in the program"
+        );
+    }
+
+    #[test]
+    fn alternating_generators_are_never_served_each_others_program() {
+        let threshold = HcgOptions {
+            simd_threshold: 100,
+            ..HcgOptions::default()
+        };
+        let loops = HcgOptions {
+            fallback_style: crate::LoopStyle::LOOPS,
+            ..HcgOptions::default()
+        };
+        let configs = [HcgOptions::default(), threshold, loops];
+        let mut session = EditSession::new(data_bed());
+        for (i, options) in configs.iter().enumerate() {
+            assert_programs_match(&mut session, options, &format!("cold config {i}"));
+        }
+        for step in 0..6 {
+            session
+                .apply_delta(&set("g", "gain", Param::Float(step as f64)))
+                .unwrap();
+            for (i, options) in configs.iter().enumerate().cycle().skip(step).take(3) {
+                assert_programs_match(&mut session, options, &format!("step {step} config {i}"));
+            }
+        }
+        assert_eq!(
+            session.stats().programs_patched,
+            6 * (configs.len() * Arch::ALL.len()) as u64
+        );
     }
 
     #[test]

@@ -232,6 +232,42 @@ impl ModelDelta {
         })
     }
 
+    /// True when the delta only changes *data*: every op is a `SetParam`
+    /// that either leaves the parameter's value unchanged or sets
+    /// `Constant.value`, `Gain.gain` or `UnitDelay.init` to a value with
+    /// the same [`Param`] variant and length as the value it replaces.
+    ///
+    /// Those three parameters reach a generated program only as a buffer
+    /// initialiser: `GenContext::build` in `hcg-core`'s `generator.rs`
+    /// (the `Constant` and `UnitDelay` buffers) and `emit_conventional` in
+    /// its `conventional.rs` (the `Gain` factor's constant buffer). Keeping
+    /// the variant and length keeps type inference and validation
+    /// unchanged, so a data-only delta leaves the code shape alone.
+    /// `model` is the model the delta applies to.
+    pub fn data_only(&self, model: &Model) -> bool {
+        self.ops.iter().all(|op| {
+            let EditOp::SetParam { name, param, value } = op else {
+                return false;
+            };
+            let Some(actor) = model.actor_by_name(name) else {
+                return false;
+            };
+            let Some(old) = actor.params.get(param) else {
+                return false;
+            };
+            if old == value {
+                return true;
+            }
+            let data_param = matches!(
+                (actor.kind, param.as_str()),
+                (ActorKind::Constant, "value")
+                    | (ActorKind::Gain, "gain")
+                    | (ActorKind::UnitDelay, "init")
+            );
+            data_param && numeric_shape(old).is_some_and(|s| numeric_shape(value) == Some(s))
+        })
+    }
+
     /// Diff two models into an edit sequence such that
     /// `diff(old, new).apply(old)` is equivalent to `new` (same actors by
     /// name, same wires; ids and ordering may differ).
@@ -351,6 +387,17 @@ impl ModelDelta {
         }
         touched
     }
+}
+
+/// A numeric parameter's variant and element count; `None` for strings.
+fn numeric_shape(p: &Param) -> Option<(std::mem::Discriminant<Param>, usize)> {
+    let len = match p {
+        Param::Int(_) | Param::Float(_) => 1,
+        Param::IntVec(v) => v.len(),
+        Param::FloatVec(v) => v.len(),
+        Param::Str(_) => return None,
+    };
+    Some((std::mem::discriminant(p), len))
 }
 
 /// The forward slice of `seeds`: every actor reachable from a seed along
@@ -542,6 +589,109 @@ mod tests {
         let drv = m.driver(PortRef::new(g, 0)).unwrap();
         assert_eq!(m.actors[drv.actor.0].name, "x2");
         assert!(m.front_end().is_ok());
+    }
+
+    /// One actor carrying each parameter `data_only` distinguishes.
+    fn params_bed() -> Model {
+        let ty = SignalType::vector(DataType::F32, 4);
+        let mut b = ModelBuilder::new("params");
+        let x = b.inport("x", ty);
+        let k = b.constant("k", ty, vec![1.0, 2.0, 3.0, 4.0]);
+        let g = b.gain("g", 2.0);
+        let z = b.unit_delay("z", Some(ty));
+        b.set_param(z, "init", Param::FloatVec(vec![0.5; 4]));
+        let sat = b.add_actor("sat", ActorKind::Saturate);
+        b.set_param(sat, "min", Param::Float(-1.0));
+        b.set_param(sat, "max", Param::Float(1.0));
+        let add = b.add_actor("add", ActorKind::Add);
+        let o = b.outport("o");
+        b.connect(x, 0, g, 0);
+        b.connect(g, 0, add, 0);
+        b.connect(k, 0, add, 1);
+        b.connect(add, 0, z, 0);
+        b.connect(z, 0, sat, 0);
+        b.connect(sat, 0, o, 0);
+        let i = b.inport("i", SignalType::vector(DataType::I32, 4));
+        let shr = b.shift("shr", ActorKind::Shr, 1);
+        let o2 = b.outport("o2");
+        b.connect(i, 0, shr, 0);
+        b.connect(shr, 0, o2, 0);
+        b.build().unwrap()
+    }
+
+    fn set(name: &str, param: &str, value: Param) -> EditOp {
+        EditOp::SetParam {
+            name: name.into(),
+            param: param.into(),
+            value,
+        }
+    }
+
+    #[test]
+    fn data_only_accepts_the_three_data_parameters() {
+        let m = params_bed();
+        for op in [
+            set("k", "value", Param::FloatVec(vec![4.0, 3.0, 2.0, 1.0])),
+            set("g", "gain", Param::Float(-0.5)),
+            set("z", "init", Param::FloatVec(vec![1.5; 4])),
+        ] {
+            let d = ModelDelta::single(op.clone());
+            assert!(d.data_only(&m), "{op}");
+            assert!(!d.structural(), "{op}");
+            assert!(d.apply(&m).unwrap().front_end().is_ok(), "{op}");
+        }
+    }
+
+    #[test]
+    fn data_only_accepts_a_value_preserving_set() {
+        let m = params_bed();
+        let ty = m.actor_by_name("x").unwrap().param("type").unwrap().clone();
+        assert!(ModelDelta::single(set("x", "type", ty)).data_only(&m));
+    }
+
+    #[test]
+    fn data_only_rejects_code_shaping_and_reshaping_edits() {
+        let m = params_bed();
+        for op in [
+            set("shr", "amount", Param::Int(2)),
+            set("sat", "min", Param::Float(-2.0)),
+            set("g", "gain", Param::FloatVec(vec![2.0])),
+            set("k", "value", Param::FloatVec(vec![1.0, 2.0])),
+            set("z", "init", Param::Float(0.0)),
+            set("x", "type", Param::Str("f32[8]".into())),
+            set("ghost", "value", Param::Float(1.0)),
+            set("k", "fresh", Param::Float(1.0)),
+            EditOp::RemoveParam {
+                name: "k".into(),
+                param: "value".into(),
+            },
+        ] {
+            assert!(!ModelDelta::single(op.clone()).data_only(&m), "{op}");
+        }
+    }
+
+    #[test]
+    fn data_only_rejects_a_mixed_delta() {
+        let m = params_bed();
+        let data = set("g", "gain", Param::Float(3.0));
+        let mixed = ModelDelta {
+            ops: vec![data.clone(), set("shr", "amount", Param::Int(3))],
+        };
+        assert!(ModelDelta::single(data.clone()).data_only(&m));
+        assert!(!mixed.data_only(&m));
+        let rewire = ModelDelta {
+            ops: vec![
+                data,
+                EditOp::Disconnect {
+                    to: ("o2".into(), 0),
+                },
+            ],
+        };
+        assert!(!rewire.data_only(&m));
+        assert!(
+            ModelDelta::default().data_only(&m),
+            "an empty delta changes nothing"
+        );
     }
 
     #[test]

@@ -31,6 +31,13 @@ CARGO_TARGET_DIR=.bench_build cargo run -q --release --offline --locked \
 tail -n 1 target/ledger-smoke.txt | grep -q '"correct": true'
 tail -n 1 target/ledger-smoke.txt | grep -q '"failed": 0,'
 
+echo "==> ledger edit-replay smoke (one short traced run: whole-Program edit oracle over the data-patch path, no op fails)"
+CARGO_TARGET_DIR=.bench_build cargo run -q --release --offline --locked \
+    --manifest-path ledger/Cargo.toml -- run --workload edit-replay --seed 1 \
+    --seconds 2 --trace 1 --out target/ledger-smoke > target/ledger-edit-smoke.txt
+tail -n 1 target/ledger-edit-smoke.txt | grep -q '"correct": true'
+tail -n 1 target/ledger-edit-smoke.txt | grep -q '"failed": 0,'
+
 echo "==> lint example models"
 cargo run -q --release -p hcg-bench --bin lint -- examples/models/*.xml
 
@@ -44,7 +51,7 @@ cargo run -q --release -p hcg-bench --bin repro -- fleet --threads 2 \
     --json target/fleet.json --out target/repro_fleet.txt
 grep -q '"identical_outputs": true' target/fleet.json
 
-echo "==> incremental smoke run (edit-replay byte-identity + bench JSON)"
+echo "==> incremental smoke run (edit-replay program identity + bench JSON)"
 cargo run -q --release -p hcg-bench --bin repro -- incremental --seed 0 --edits 50 \
     --json target/incremental.json --out target/repro_incremental.txt
 grep -q '"identical_outputs": true' target/incremental.json

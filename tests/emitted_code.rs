@@ -118,3 +118,42 @@ fn remainder_prologue_renders_before_loop() {
         "remainder code precedes the SIMD loop (Algorithm 2 line 27):\n{src}"
     );
 }
+
+#[test]
+fn derived_buffer_names_are_distinct_under_every_generator() {
+    use hcg::model::{ActorKind, DataType, ModelBuilder, SignalType};
+    // A `Gain` named `k` next to an actor `k_gain`, and a swapping delay
+    // pair whose latch shadow `z_next` meets an actor of that name.
+    let ty = SignalType::vector(DataType::F32, 8);
+    let mut b = ModelBuilder::new("derived");
+    let x = b.inport("x", ty);
+    let k = b.gain("k", 3.0);
+    let kg = b.add_actor("k_gain", ActorKind::Neg);
+    let o = b.outport("o");
+    b.connect(x, 0, k, 0);
+    b.connect(k, 0, kg, 0);
+    b.connect(kg, 0, o, 0);
+    let z = b.unit_delay("z", Some(ty));
+    let w = b.unit_delay("w", Some(ty));
+    let zn = b.add_actor("z_next", ActorKind::Add);
+    let o2 = b.outport("o2");
+    b.connect(w, 0, z, 0);
+    b.connect(z, 0, w, 0);
+    b.connect(z, 0, zn, 0);
+    b.connect(kg, 0, zn, 1);
+    b.connect(zn, 0, o2, 0);
+    let model = b.build().expect("valid model");
+    for generator in hcg::baselines::all_generators() {
+        for arch in Arch::ALL {
+            let p = generator.generate(&model, arch).expect("generates");
+            let names: Vec<&str> = p.buffers.iter().map(|b| b.name.as_str()).collect();
+            let unique: std::collections::BTreeSet<&str> = names.iter().copied().collect();
+            assert_eq!(
+                unique.len(),
+                names.len(),
+                "{} on {arch}: {names:?}",
+                generator.name()
+            );
+        }
+    }
+}
