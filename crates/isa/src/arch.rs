@@ -51,73 +51,82 @@ impl Arch {
     }
 
     /// The C spelling of the vector register type holding `dtype` lanes.
-    pub fn vector_type(self, dtype: DataType) -> String {
-        match self {
-            Arch::Neon128 => {
-                let base = match dtype {
-                    d if d.is_float() => "float",
-                    d if d.is_signed() => "int",
-                    _ => "uint",
-                };
-                format!("{}{}x{}_t", base, dtype.bit_width(), self.lanes(dtype))
-            }
-            Arch::Sse128 => match dtype {
-                DataType::F32 => "__m128".to_owned(),
-                DataType::F64 => "__m128d".to_owned(),
-                _ => "__m128i".to_owned(),
-            },
-            Arch::Avx256 => match dtype {
-                DataType::F32 => "__m256".to_owned(),
-                DataType::F64 => "__m256d".to_owned(),
-                _ => "__m256i".to_owned(),
-            },
+    pub const fn vector_type(self, dtype: DataType) -> &'static str {
+        use DataType::*;
+        match (self, dtype) {
+            (Arch::Neon128, I8) => "int8x16_t",
+            (Arch::Neon128, I16) => "int16x8_t",
+            (Arch::Neon128, I32) => "int32x4_t",
+            (Arch::Neon128, I64) => "int64x2_t",
+            (Arch::Neon128, U8) => "uint8x16_t",
+            (Arch::Neon128, U16) => "uint16x8_t",
+            (Arch::Neon128, U32) => "uint32x4_t",
+            (Arch::Neon128, U64) => "uint64x2_t",
+            (Arch::Neon128, F32) => "float32x4_t",
+            (Arch::Neon128, F64) => "float64x2_t",
+            (Arch::Sse128, F32) => "__m128",
+            (Arch::Sse128, F64) => "__m128d",
+            (Arch::Sse128, _) => "__m128i",
+            (Arch::Avx256, F32) => "__m256",
+            (Arch::Avx256, F64) => "__m256d",
+            (Arch::Avx256, _) => "__m256i",
         }
     }
 
     /// NEON-style type suffix (`s32`, `u8`, `f32`) used by intrinsic names.
-    pub fn neon_suffix(dtype: DataType) -> String {
-        let c = if dtype.is_float() {
-            'f'
-        } else if dtype.is_signed() {
-            's'
-        } else {
-            'u'
-        };
-        format!("{}{}", c, dtype.bit_width())
+    pub const fn neon_suffix(dtype: DataType) -> &'static str {
+        use DataType::*;
+        match dtype {
+            I8 => "s8",
+            I16 => "s16",
+            I32 => "s32",
+            I64 => "s64",
+            U8 => "u8",
+            U16 => "u16",
+            U32 => "u32",
+            U64 => "u64",
+            F32 => "f32",
+            F64 => "f64",
+        }
     }
 
     /// The C expression loading one vector register from `ptr`.
-    pub fn load_expr(self, dtype: DataType, ptr: &str) -> String {
-        match self {
-            Arch::Neon128 => format!("vld1q_{}({})", Self::neon_suffix(dtype), ptr),
+    pub fn load_expr<P: fmt::Display>(self, dtype: DataType, ptr: P) -> impl fmt::Display {
+        fmt::from_fn(move |f| match self {
+            Arch::Neon128 => write!(f, "vld1q_{}({})", Self::neon_suffix(dtype), ptr),
             Arch::Sse128 => match dtype {
-                DataType::F32 => format!("_mm_loadu_ps({ptr})"),
-                DataType::F64 => format!("_mm_loadu_pd({ptr})"),
-                _ => format!("_mm_loadu_si128((const __m128i*){ptr})"),
+                DataType::F32 => write!(f, "_mm_loadu_ps({ptr})"),
+                DataType::F64 => write!(f, "_mm_loadu_pd({ptr})"),
+                _ => write!(f, "_mm_loadu_si128((const __m128i*){ptr})"),
             },
             Arch::Avx256 => match dtype {
-                DataType::F32 => format!("_mm256_loadu_ps({ptr})"),
-                DataType::F64 => format!("_mm256_loadu_pd({ptr})"),
-                _ => format!("_mm256_loadu_si256((const __m256i*){ptr})"),
+                DataType::F32 => write!(f, "_mm256_loadu_ps({ptr})"),
+                DataType::F64 => write!(f, "_mm256_loadu_pd({ptr})"),
+                _ => write!(f, "_mm256_loadu_si256((const __m256i*){ptr})"),
             },
-        }
+        })
     }
 
     /// The C statement storing vector register `reg` to `ptr`.
-    pub fn store_stmt(self, dtype: DataType, ptr: &str, reg: &str) -> String {
-        match self {
-            Arch::Neon128 => format!("vst1q_{}({}, {});", Self::neon_suffix(dtype), ptr, reg),
+    pub fn store_stmt<P: fmt::Display, R: fmt::Display>(
+        self,
+        dtype: DataType,
+        ptr: P,
+        reg: R,
+    ) -> impl fmt::Display {
+        fmt::from_fn(move |f| match self {
+            Arch::Neon128 => write!(f, "vst1q_{}({}, {});", Self::neon_suffix(dtype), ptr, reg),
             Arch::Sse128 => match dtype {
-                DataType::F32 => format!("_mm_storeu_ps({ptr}, {reg});"),
-                DataType::F64 => format!("_mm_storeu_pd({ptr}, {reg});"),
-                _ => format!("_mm_storeu_si128((__m128i*){ptr}, {reg});"),
+                DataType::F32 => write!(f, "_mm_storeu_ps({ptr}, {reg});"),
+                DataType::F64 => write!(f, "_mm_storeu_pd({ptr}, {reg});"),
+                _ => write!(f, "_mm_storeu_si128((__m128i*){ptr}, {reg});"),
             },
             Arch::Avx256 => match dtype {
-                DataType::F32 => format!("_mm256_storeu_ps({ptr}, {reg});"),
-                DataType::F64 => format!("_mm256_storeu_pd({ptr}, {reg});"),
-                _ => format!("_mm256_storeu_si256((__m256i*){ptr}, {reg});"),
+                DataType::F32 => write!(f, "_mm256_storeu_ps({ptr}, {reg});"),
+                DataType::F64 => write!(f, "_mm256_storeu_pd({ptr}, {reg});"),
+                _ => write!(f, "_mm256_storeu_si256((__m256i*){ptr}, {reg});"),
             },
-        }
+        })
     }
 
     /// The C scalar element type name (`int32_t`, `float`, …), shared by all
@@ -186,6 +195,7 @@ mod tests {
         assert_eq!(Arch::Neon128.vector_type(DataType::I32), "int32x4_t");
         assert_eq!(Arch::Neon128.vector_type(DataType::F32), "float32x4_t");
         assert_eq!(Arch::Neon128.vector_type(DataType::U8), "uint8x16_t");
+        assert_eq!(Arch::neon_suffix(DataType::U16), "u16");
     }
 
     #[test]
@@ -197,17 +207,29 @@ mod tests {
 
     #[test]
     fn load_store_spelling() {
-        assert_eq!(Arch::Neon128.load_expr(DataType::I32, "a"), "vld1q_s32(a)");
+        let load = |a: Arch, d| a.load_expr(d, "p").to_string();
+        let store = |a: Arch, d| a.store_stmt(d, "p", "v").to_string();
+        assert_eq!(load(Arch::Neon128, DataType::I32), "vld1q_s32(p)");
+        assert_eq!(store(Arch::Neon128, DataType::F32), "vst1q_f32(p, v);");
+        assert_eq!(load(Arch::Sse128, DataType::F32), "_mm_loadu_ps(p)");
+        assert_eq!(load(Arch::Sse128, DataType::F64), "_mm_loadu_pd(p)");
         assert_eq!(
-            Arch::Neon128.store_stmt(DataType::I32, "&out[i]", "v"),
-            "vst1q_s32(&out[i], v);"
+            load(Arch::Sse128, DataType::I16),
+            "_mm_loadu_si128((const __m128i*)p)"
         );
-        assert!(Arch::Sse128
-            .load_expr(DataType::I32, "a")
-            .contains("_mm_loadu_si128"));
-        assert!(Arch::Avx256
-            .store_stmt(DataType::F32, "p", "v")
-            .contains("_mm256_storeu_ps"));
+        assert_eq!(store(Arch::Sse128, DataType::F64), "_mm_storeu_pd(p, v);");
+        assert_eq!(
+            store(Arch::Sse128, DataType::I32),
+            "_mm_storeu_si128((__m128i*)p, v);"
+        );
+        assert_eq!(
+            load(Arch::Avx256, DataType::U8),
+            "_mm256_loadu_si256((const __m256i*)p)"
+        );
+        assert_eq!(
+            store(Arch::Avx256, DataType::F32),
+            "_mm256_storeu_ps(p, v);"
+        );
     }
 
     #[test]

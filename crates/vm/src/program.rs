@@ -67,13 +67,18 @@ impl IndexExpr {
             IndexExpr::Loop(off) => loop_var + off,
         }
     }
+}
 
-    /// Render as C source, with `i` as the loop variable name.
-    pub fn render(self) -> String {
+/// C source, with `i` as the loop variable name.
+impl fmt::Display for IndexExpr {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            IndexExpr::Const(c) => c.to_string(),
-            IndexExpr::Loop(0) => "i".to_owned(),
-            IndexExpr::Loop(off) => format!("i + {off}"),
+            IndexExpr::Const(c) => c.fmt(f),
+            IndexExpr::Loop(0) => f.write_str("i"),
+            IndexExpr::Loop(off) => {
+                f.write_str("i + ")?;
+                off.fmt(f)
+            }
         }
     }
 }
@@ -441,9 +446,9 @@ mod tests {
     fn index_expr_eval_and_render() {
         assert_eq!(IndexExpr::Const(3).eval(10), 3);
         assert_eq!(IndexExpr::Loop(2).eval(10), 12);
-        assert_eq!(IndexExpr::Loop(0).render(), "i");
-        assert_eq!(IndexExpr::Loop(4).render(), "i + 4");
-        assert_eq!(IndexExpr::Const(7).render(), "7");
+        assert_eq!(IndexExpr::Loop(0).to_string(), "i");
+        assert_eq!(IndexExpr::Loop(4).to_string(), "i + 4");
+        assert_eq!(IndexExpr::Const(7).to_string(), "7");
     }
 
     #[test]
