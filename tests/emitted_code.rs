@@ -157,3 +157,25 @@ fn derived_buffer_names_are_distinct_under_every_generator() {
         }
     }
 }
+
+#[test]
+fn one_element_copies_are_assignments_under_every_generator() {
+    use hcg::model::{DataType, ModelBuilder, SignalType};
+    // Inport i32*1 -> UnitDelay -> Outport: the delay latch and the
+    // Outport copy both move one element, which `memcpy` with `sizeof`
+    // of a scalar would pass as a pointer.
+    let mut b = ModelBuilder::new("scalar_delay");
+    let x = b.inport("x", SignalType::scalar(DataType::I32));
+    let z = b.unit_delay("z", None);
+    let y = b.outport("y");
+    b.connect(x, 0, z, 0);
+    b.connect(z, 0, y, 0);
+    let model = b.build().expect("valid model");
+    for generator in hcg::baselines::all_generators() {
+        for arch in Arch::ALL {
+            let src = to_c_source(&generator.generate(&model, arch).expect("generates"));
+            let ok = !src.contains("memcpy") && src.contains("  y = z;\n");
+            assert!(ok, "{} on {arch}:\n{src}", generator.name());
+        }
+    }
+}
