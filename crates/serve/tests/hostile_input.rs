@@ -47,3 +47,24 @@ fn deep_nesting_is_rejected_and_the_daemon_keeps_serving() {
     assert_eq!(resp.text(), expected, "fig4 compiles as it would directly");
     handle.shutdown();
 }
+
+#[test]
+fn a_model_name_cannot_inject_c_through_the_header_comment() {
+    let handle = spawn(ServeConfig {
+        workers: 1,
+        ..ServeConfig::default()
+    })
+    .unwrap();
+    let mut model = library::fig4_model();
+    model.name = "x */ int evil; /*".to_owned();
+    let xml = model_to_xml(&model);
+    let resp = client::compile(handle.addr(), "arch=neon128", xml.as_bytes()).unwrap();
+    assert_eq!(resp.status, 200, "{}", resp.text());
+    let header = resp.text().lines().next().unwrap_or_default().to_owned();
+    assert!(
+        header.starts_with("/* model: x * / int evil; /* |") && header.ends_with(" */"),
+        "{header}"
+    );
+    assert_eq!(header.matches("*/").count(), 1, "{header}");
+    handle.shutdown();
+}
