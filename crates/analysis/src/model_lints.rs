@@ -90,7 +90,7 @@ fn lint_sanitized_collisions(model: &Model, r: &mut LintReport) {
     let mut groups: BTreeMap<String, Vec<&Actor>> = BTreeMap::new();
     for a in &model.actors {
         groups
-            .entry(hcg_model::naming::sanitize_identifier(&a.name))
+            .entry(hcg_model::naming::sanitize_identifier(&a.name).into_owned())
             .or_default()
             .push(a);
     }

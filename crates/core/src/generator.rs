@@ -206,7 +206,7 @@ impl<'m> GenContext<'m> {
             origin_marks: Vec::new(),
         };
         for a in &model.actors {
-            let name = sanitize(&a.name);
+            let name = sanitize(&a.name).into_owned();
             let ty = if a.kind == ActorKind::Outport {
                 // The outport's buffer matches its *input* type.
                 let src = model

@@ -5,25 +5,24 @@
 //! [`unique_identifier`] resolves post-sanitization collisions (`"a b"` and
 //! `"a_b"` both sanitize to `a_b`) with a deterministic numeric suffix.
 
+use std::borrow::Cow;
 use std::collections::BTreeSet;
 
 /// Make a name a valid C identifier: every character outside
-/// `[A-Za-z0-9_]` becomes `_`, and a leading digit gets a `_` prefix.
-pub fn sanitize_identifier(name: &str) -> String {
-    let mut out: String = name
-        .chars()
-        .map(|c| {
-            if c.is_ascii_alphanumeric() || c == '_' {
-                c
-            } else {
-                '_'
-            }
-        })
-        .collect();
-    if out.chars().next().is_some_and(|c| c.is_ascii_digit()) {
-        out.insert(0, '_');
+/// `[A-Za-z0-9_]` becomes `_`, and a leading digit gets a `_` prefix. A name
+/// that already is one is borrowed, not copied.
+pub fn sanitize_identifier(name: &str) -> Cow<'_, str> {
+    let valid = |c: char| c.is_ascii_alphanumeric() || c == '_';
+    let leading_digit = name.starts_with(|c: char| c.is_ascii_digit());
+    if !leading_digit && name.chars().all(valid) {
+        return Cow::Borrowed(name);
     }
-    out
+    let mut out = String::with_capacity(name.len() + 1);
+    if leading_digit {
+        out.push('_');
+    }
+    out.extend(name.chars().map(|c| if valid(c) { c } else { '_' }));
+    Cow::Owned(out)
 }
 
 /// Claim `base` in `used`, appending `_2`, `_3`, … until the name is free.
@@ -53,6 +52,9 @@ mod tests {
         assert_eq!(sanitize_identifier("a b-c"), "a_b_c");
         assert_eq!(sanitize_identifier("3x"), "_3x");
         assert_eq!(sanitize_identifier("ok_name"), "ok_name");
+        assert_eq!(sanitize_identifier(""), "");
+        assert_eq!(sanitize_identifier("é1"), "_1");
+        assert!(matches!(sanitize_identifier("ok_1"), Cow::Borrowed(_)));
     }
 
     #[test]
