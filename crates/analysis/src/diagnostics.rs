@@ -1,6 +1,7 @@
 //! The diagnostic vocabulary shared by all lint passes: codes, severities,
 //! locations, and the [`LintReport`] container with stable rendering.
 
+use hcg_vm::DefectKind;
 use std::fmt;
 
 /// How serious a diagnostic is.
@@ -76,34 +77,9 @@ pub enum LintCode {
     NoOutput,
 
     // ---- program front end: structural (rehosted from hcg-vm) ----
-    /// A buffer id exceeds the program's buffer table.
-    BufferOutOfRange,
-    /// A register id exceeds the program's register table.
-    RegisterOutOfRange,
-    /// A scalar element reference can reach past the end of its buffer.
-    ElementOutOfBounds,
-    /// A vector load/store can reach past the end of its buffer.
-    VectorOutOfBounds,
-    /// A scalar statement's operand count does not match its op's arity.
-    ScalarArity,
-    /// An element op applied to a dtype it does not support.
-    DtypeUnsupported,
-    /// A vector op's operand count does not match its pattern's inputs.
-    VOpOperandCount,
-    /// A vector op mixes registers of different dtype/lane shape.
-    VOpShapeMismatch,
-    /// A vector load/store register dtype differs from its buffer's dtype.
-    VRegDtypeMismatch,
-    /// A kernel call names an implementation absent from the library.
-    UnknownKernel,
-    /// A loop nested inside another loop (the IR forbids this).
-    NestedLoop,
-    /// A loop with step zero (would never terminate).
-    ZeroStepLoop,
-    /// A whole-buffer copy whose source is shorter than its destination.
-    CopyLengthMismatch,
-    /// A whole-buffer copy between buffers of different element dtype.
-    CopyDtypeMismatch,
+    /// A structural defect found by [`hcg_vm::validate_all`]; it renders
+    /// as its kind's own code ([`DefectKind::name`]).
+    Defect(DefectKind),
 
     // ---- program front end: dataflow ----
     /// A `Temp`/`Output` buffer is read before anything writes it.
@@ -157,20 +133,7 @@ impl LintCode {
             AlgebraicLoop => "model/algebraic-loop",
             UnreachableActor => "model/unreachable-actor",
             NoOutput => "model/no-output",
-            BufferOutOfRange => "program/buffer-out-of-range",
-            RegisterOutOfRange => "program/register-out-of-range",
-            ElementOutOfBounds => "program/element-out-of-bounds",
-            VectorOutOfBounds => "program/vector-out-of-bounds",
-            ScalarArity => "program/scalar-arity",
-            DtypeUnsupported => "program/dtype-unsupported",
-            VOpOperandCount => "program/vop-operand-count",
-            VOpShapeMismatch => "program/vop-shape-mismatch",
-            VRegDtypeMismatch => "program/vreg-dtype-mismatch",
-            UnknownKernel => "program/unknown-kernel",
-            NestedLoop => "program/nested-loop",
-            ZeroStepLoop => "program/zero-step-loop",
-            CopyLengthMismatch => "program/copy-length-mismatch",
-            CopyDtypeMismatch => "program/copy-dtype-mismatch",
+            Defect(kind) => kind.name(),
             ReadBeforeWrite => "program/read-before-write",
             UninitializedRegister => "program/uninitialized-register",
             DeadStore => "program/dead-store",
@@ -426,6 +389,13 @@ mod tests {
         assert_eq!(d.severity, Severity::Warning);
         let d = Diagnostic::new(LintCode::AlgebraicLoop, Location::Global, "x");
         assert_eq!(d.severity, Severity::Error);
+        let d = Diagnostic::new(
+            LintCode::Defect(DefectKind::CopyLengthMismatch),
+            Location::Global,
+            "x",
+        );
+        assert_eq!(d.severity, Severity::Error);
+        assert_eq!(d.code.to_string(), "program/copy-length-mismatch");
     }
 
     #[test]
@@ -471,7 +441,7 @@ mod tests {
     }
 
     #[test]
-    fn every_code_has_unique_name() {
+    fn every_code_has_unique_name_and_sorts_in_listed_order() {
         use LintCode::*;
         let all = [
             MalformedXml,
@@ -493,20 +463,20 @@ mod tests {
             AlgebraicLoop,
             UnreachableActor,
             NoOutput,
-            BufferOutOfRange,
-            RegisterOutOfRange,
-            ElementOutOfBounds,
-            VectorOutOfBounds,
-            ScalarArity,
-            DtypeUnsupported,
-            VOpOperandCount,
-            VOpShapeMismatch,
-            VRegDtypeMismatch,
-            UnknownKernel,
-            NestedLoop,
-            ZeroStepLoop,
-            CopyLengthMismatch,
-            CopyDtypeMismatch,
+            Defect(DefectKind::BufferOutOfRange),
+            Defect(DefectKind::RegisterOutOfRange),
+            Defect(DefectKind::ElementOutOfBounds),
+            Defect(DefectKind::VectorOutOfBounds),
+            Defect(DefectKind::ScalarArity),
+            Defect(DefectKind::DtypeUnsupported),
+            Defect(DefectKind::VOpOperandCount),
+            Defect(DefectKind::VOpShapeMismatch),
+            Defect(DefectKind::VRegDtypeMismatch),
+            Defect(DefectKind::UnknownKernel),
+            Defect(DefectKind::NestedLoop),
+            Defect(DefectKind::ZeroStepLoop),
+            Defect(DefectKind::CopyLengthMismatch),
+            Defect(DefectKind::CopyDtypeMismatch),
             ReadBeforeWrite,
             UninitializedRegister,
             DeadStore,
@@ -518,6 +488,9 @@ mod tests {
             PossibleDivByZero,
             LaneOutOfRange,
         ];
+        let mut sorted = all.to_vec();
+        sorted.sort();
+        assert_eq!(sorted, all, "`codes()` lists codes in declaration order");
         let mut names: Vec<&str> = all.iter().map(|c| c.name()).collect();
         names.sort();
         let before = names.len();

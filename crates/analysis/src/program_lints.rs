@@ -5,14 +5,14 @@
 
 use crate::diagnostics::{LintCode, LintReport, Location};
 use hcg_kernels::CodeLibrary;
-use hcg_vm::{validate_all, BufferKind, DefectKind, Program, Stmt};
+use hcg_vm::{validate_all, BufferKind, Program, Stmt};
 
 /// Run every program lint and collect the findings.
 pub fn lint_program(prog: &Program, lib: &CodeLibrary) -> LintReport {
     let mut r = LintReport::new(format!("{} [{} {}]", prog.name, prog.generator, prog.arch));
     for d in validate_all(prog, lib) {
         r.push(
-            defect_code(d.kind),
+            LintCode::Defect(d.kind),
             Location::Stmt {
                 path: d.stmt_path.clone(),
             },
@@ -41,26 +41,6 @@ pub fn lint_stage(prog: &Program, lib: &CodeLibrary, complete: bool) -> LintRepo
             .retain(|d| !matches!(d.code, LintCode::DeadStore | LintCode::NeverReadBuffer));
     }
     r
-}
-
-/// The lint code for a structural defect from `hcg_vm::validate_all`.
-const fn defect_code(kind: DefectKind) -> LintCode {
-    match kind {
-        DefectKind::BufferOutOfRange => LintCode::BufferOutOfRange,
-        DefectKind::RegisterOutOfRange => LintCode::RegisterOutOfRange,
-        DefectKind::ElementOutOfBounds => LintCode::ElementOutOfBounds,
-        DefectKind::VectorOutOfBounds => LintCode::VectorOutOfBounds,
-        DefectKind::ScalarArity => LintCode::ScalarArity,
-        DefectKind::DtypeUnsupported => LintCode::DtypeUnsupported,
-        DefectKind::VOpOperandCount => LintCode::VOpOperandCount,
-        DefectKind::VOpShapeMismatch => LintCode::VOpShapeMismatch,
-        DefectKind::VRegDtypeMismatch => LintCode::VRegDtypeMismatch,
-        DefectKind::UnknownKernel => LintCode::UnknownKernel,
-        DefectKind::NestedLoop => LintCode::NestedLoop,
-        DefectKind::ZeroStepLoop => LintCode::ZeroStepLoop,
-        DefectKind::CopyLengthMismatch => LintCode::CopyLengthMismatch,
-        DefectKind::CopyDtypeMismatch => LintCode::CopyDtypeMismatch,
-    }
 }
 
 /// A register must fit the target's vector registers: `lanes × bit-width`
@@ -388,7 +368,7 @@ mod tests {
     use hcg_isa::Arch;
     use hcg_model::op::ElemOp;
     use hcg_model::{DataType, SignalType};
-    use hcg_vm::{BufferId, ElemRef, IndexExpr, ScalarOp};
+    use hcg_vm::{BufferId, DefectKind, ElemRef, IndexExpr, ScalarOp};
 
     fn ty8() -> SignalType {
         SignalType::vector(DataType::I32, 8)
@@ -436,7 +416,11 @@ mod tests {
             index: IndexExpr::Const(0),
         });
         let r = lint_program(&p, &CodeLibrary::new());
-        assert!(r.has(LintCode::VRegDtypeMismatch), "got: {}", r.render());
+        assert!(
+            r.has(LintCode::Defect(DefectKind::VRegDtypeMismatch)),
+            "got: {}",
+            r.render()
+        );
     }
 
     #[test]

@@ -12,7 +12,6 @@
 //! cargo run -p hcg-bench --bin repro --release -- fig2 | fig4 | table1
 //! cargo run -p hcg-bench --bin repro --release -- memory | gentime | consistency
 //! cargo run -p hcg-bench --bin repro --release -- ablation-threshold | ablation-history
-//! cargo run -p hcg-bench --bin repro --release -- fleet [--threads N] [--json PATH]
 //! cargo run -p hcg-bench --bin repro --release -- incremental [--seed S] [--edits N] [--json PATH]
 //! cargo run -p hcg-bench --bin repro --release -- fuzz [--seed S] [--iters N] [--threads T] [--beam W] [--json PATH]
 //! cargo run -p hcg-bench --bin repro --release -- search [--beam W] [--calibrate] [--seed S] [--iters N] [--json PATH]
@@ -21,7 +20,6 @@
 //! cargo run -p hcg-bench --bin repro --release -- lint
 //! cargo run -p hcg-bench --bin repro --release -- serve [--port P] [--threads N] [--access-log PATH]
 //! cargo run -p hcg-bench --bin repro --release -- serve-smoke
-//! cargo run -p hcg-bench --bin repro --release -- serve-bench [--requests N] [--clients C] [--corpus-size M] [--seed S] [--threads N] [--json PATH]
 //! cargo run -p hcg-bench --bin repro --release -- obs-bench [--requests N] [--clients C] [--corpus-size M] [--seed S] [--threads N] [--access-log PATH] [--json PATH]
 //! ```
 
@@ -80,7 +78,6 @@ fn main() {
             ablation_history_cmd();
             ablation_greedy_cmd();
             fusion_cmd();
-            fleet_cmd(args.threads, args.json.as_deref());
             incremental_cmd(&args);
             search_cmd(&args);
             fuzz_cmd(&args);
@@ -101,7 +98,6 @@ fn main() {
         "ablation-history" => ablation_history_cmd(),
         "ablation-greedy" => ablation_greedy_cmd(),
         "fusion" => fusion_cmd(),
-        "fleet" => fleet_cmd(args.threads, args.json.as_deref()),
         "incremental" => incremental_cmd(&args),
         "search" => search_cmd(&args),
         "fuzz" => fuzz_cmd(&args),
@@ -110,7 +106,6 @@ fn main() {
         "verify" => verify_cmd(&args),
         "serve" => serve_cmd(&args),
         "serve-smoke" => serve_smoke_cmd(),
-        "serve-bench" => serve_bench_cmd(&args),
         "obs-bench" => obs_bench_cmd(&args),
         other => {
             eprintln!("unknown experiment {other:?}; see module docs for the list");
@@ -438,86 +433,6 @@ fn fusion_cmd() {
     outln!("{:>10} {:>12} {:>8}", "Model", "batch nodes", "vops");
     for r in fusion_report(Arch::Neon128) {
         outln!("{:>10} {:>12} {:>8}", r.model, r.batch_nodes, r.vops);
-    }
-}
-
-fn fleet_cmd(threads: usize, json: Option<&std::path::Path>) {
-    heading("Parallel fleet — model × generator × arch compile jobs on the work-stealing pool");
-    // One fleet sweep is only ~100 ms, so a single measurement is noise
-    // bound; both modes run a few times and keep their fastest sweep.
-    // Fresh sessions per sweep so no run inherits another's cached
-    // front-end artifacts.
-    const REPS: usize = 3;
-    let n_models = benchmark_sessions().len();
-    let best = |parallel: bool| -> hcg_bench::FleetRun {
-        let mut best: Option<hcg_bench::FleetRun> = None;
-        for _ in 0..REPS {
-            let sessions = benchmark_sessions();
-            let run = if parallel {
-                run_fleet(&sessions, &fleet::FLEET_ARCHES, threads)
-            } else {
-                run_fleet_sequential(&sessions, &fleet::FLEET_ARCHES)
-            };
-            if best.as_ref().is_none_or(|b| run.elapsed < b.elapsed) {
-                best = Some(run);
-            }
-        }
-        best.expect("REPS > 0")
-    };
-    let seq = best(false);
-    let par = best(true);
-    let identical = seq.sources() == par.sources();
-    outln!(
-        "  {} jobs ({} models x {} generators x {} arches), best of {REPS} sweeps",
-        par.outcomes.len(),
-        n_models,
-        fleet::FLEET_GENERATORS.len(),
-        fleet::FLEET_ARCHES.len()
-    );
-    outln!(
-        "  sequential: {:>8.2} ms  ({:>7.0} jobs/s)",
-        seq.elapsed.as_secs_f64() * 1e3,
-        seq.jobs_per_sec()
-    );
-    outln!(
-        "  parallel:   {:>8.2} ms  ({:>7.0} jobs/s) on {} worker(s), {} steal(s)",
-        par.elapsed.as_secs_f64() * 1e3,
-        par.jobs_per_sec(),
-        par.workers,
-        par.steals
-    );
-    // No speedup is reported: on a host with fewer cores than workers,
-    // sequential parity is the ceiling, so the ratio says nothing about the
-    // pool. What the fleet run gates is byte-identity.
-    let host_cores = hcg_exec::effective_threads(0);
-    outln!("  outputs byte-identical to sequential: {identical}");
-    assert!(identical, "parallel fleet output diverged from sequential");
-
-    if let Some(path) = json {
-        let body = format!(
-            "{{\n  \"experiment\": \"fleet\",\n  \"jobs\": {},\n  \"models\": {},\n  \"generators\": {},\n  \"arches\": {},\n  \"threads_requested\": {},\n  \"workers\": {},\n  \"host_cores\": {},\n  \"steals\": {},\n  \"sequential_ms\": {:.3},\n  \"parallel_ms\": {:.3},\n  \"jobs_per_sec\": {:.1},\n  \"identical_outputs\": {}\n}}\n",
-            par.outcomes.len(),
-            n_models,
-            fleet::FLEET_GENERATORS.len(),
-            fleet::FLEET_ARCHES.len(),
-            threads,
-            par.workers,
-            host_cores,
-            par.steals,
-            seq.elapsed.as_secs_f64() * 1e3,
-            par.elapsed.as_secs_f64() * 1e3,
-            par.jobs_per_sec(),
-            identical,
-        );
-        if let Some(parent) = path.parent() {
-            if !parent.as_os_str().is_empty() {
-                let _ = std::fs::create_dir_all(parent);
-            }
-        }
-        match std::fs::write(path, body) {
-            Ok(()) => outln!("  (bench results written to {})", path.display()),
-            Err(e) => eprintln!("warning: could not write {}: {e}", path.display()),
-        }
     }
 }
 
@@ -982,41 +897,6 @@ fn serve_smoke_cmd() {
     heading("Compile service smoke — two bundled models, twice each, over real TCP");
     for line in run_serve_smoke().lines() {
         outln!("  {line}");
-    }
-}
-
-fn serve_bench_cmd(args: &cli::CommonArgs) {
-    heading("Compile service bench — Zipf-skewed replay against the content-addressed cache");
-    let config = ServeBenchConfig {
-        requests: args.requests,
-        clients: args.clients,
-        corpus_size: args.corpus_size,
-        seed: args.seed,
-        workers: args.threads,
-        ..ServeBenchConfig::default()
-    };
-    let report = run_serve_bench(&config);
-    for line in render_serve_bench(&report).lines() {
-        outln!("  {line}");
-    }
-    if let Some(path) = &args.json {
-        let body = serve_bench_json(&report);
-        hcg_obs::json::validate(&body).expect("serve bench JSON must validate");
-        write_report_file(path, &body, "serve bench report");
-    }
-    assert!(
-        report.identical,
-        "service responses diverged from direct compiles"
-    );
-    // Under a Zipf-skewed mix with a meaningful replay length the cache
-    // must earn its keep; short smoke runs (requests < 2x corpus) skip
-    // the rate gate because most requests are necessarily cold.
-    if report.config.requests >= 2 * report.config.corpus_size {
-        assert!(
-            report.hit_rate() > 0.5,
-            "hit rate {:.1}% under Zipf replay; expected > 50%",
-            report.hit_rate() * 100.0
-        );
     }
 }
 

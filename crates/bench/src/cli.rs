@@ -5,7 +5,8 @@
 //! `--model`, `--trace`, `--beam`, `--calibrate`, `--requests`,
 //! `--clients`, `--corpus-size`, `--port`, `--access-log`), parsed once
 //! here instead of per subcommand. Unknown flags are errors; the first
-//! bare word is the subcommand.
+//! bare word is the subcommand. `--json` names one report file, so it
+//! needs one subcommand: under `all` every report would overwrite it.
 
 use std::path::PathBuf;
 
@@ -37,11 +38,11 @@ pub struct CommonArgs {
     /// `--calibrate`: run profile-guided cost calibration before the beam
     /// pass (the `search` subcommand's full loop).
     pub calibrate: bool,
-    /// `--requests N`: total requests replayed by `serve-bench`.
+    /// `--requests N`: total requests replayed by `obs-bench`.
     pub requests: usize,
-    /// `--clients C`: concurrent client threads for `serve-bench`.
+    /// `--clients C`: concurrent client threads for `obs-bench`.
     pub clients: usize,
-    /// `--corpus-size M`: synthesized models in the `serve-bench` corpus.
+    /// `--corpus-size M`: synthesized models in the `obs-bench` corpus.
     pub corpus_size: usize,
     /// `--port P`: TCP port for the `serve` subcommand (`0` = ephemeral).
     pub port: u16,
@@ -79,7 +80,8 @@ impl Default for CommonArgs {
 /// # Errors
 ///
 /// Returns a usage message when a flag is missing its value, a numeric
-/// value does not parse, or a second bare word appears.
+/// value does not parse, a second bare word appears, or `--json` is given
+/// without a subcommand (or with `all`).
 pub fn parse_args(args: impl Iterator<Item = String>) -> Result<CommonArgs, String> {
     let mut out = CommonArgs::default();
     let mut args = args.peekable();
@@ -142,6 +144,12 @@ pub fn parse_args(args: impl Iterator<Item = String>) -> Result<CommonArgs, Stri
             }
         }
     }
+    if out.json.is_some() && matches!(out.cmd.as_deref(), None | Some("all")) {
+        return Err(
+            "--json needs a single subcommand: under `all` every report would overwrite the same file"
+                .to_owned(),
+        );
+    }
     Ok(out)
 }
 
@@ -191,8 +199,8 @@ mod tests {
 
     #[test]
     fn flag_order_is_free() {
-        let a = parse(&["--threads", "2", "fleet", "--wall-clock"]).unwrap();
-        assert_eq!(a.cmd.as_deref(), Some("fleet"));
+        let a = parse(&["--threads", "2", "fig1", "--wall-clock"]).unwrap();
+        assert_eq!(a.cmd.as_deref(), Some("fig1"));
         assert_eq!(a.threads, 2);
         assert!(a.wall_clock);
     }
@@ -230,27 +238,12 @@ mod tests {
     }
 
     #[test]
-    fn serve_bench_invocation() {
-        let a = parse(&[
-            "serve-bench",
-            "--requests",
-            "5000",
-            "--clients",
-            "16",
-            "--corpus-size",
-            "1000",
-            "--json",
-            "b.json",
-        ])
-        .unwrap();
-        assert_eq!(a.cmd.as_deref(), Some("serve-bench"));
-        assert_eq!(a.requests, 5000);
-        assert_eq!(a.clients, 16);
-        assert_eq!(a.corpus_size, 1000);
-        let d = parse(&["serve", "--port", "8901"]).unwrap();
-        assert_eq!(d.port, 8901);
+    fn serve_invocation() {
+        let a = parse(&["serve", "--port", "8901", "--threads", "2"]).unwrap();
+        assert_eq!(a.cmd.as_deref(), Some("serve"));
+        assert_eq!(a.port, 8901);
+        assert_eq!(a.threads, 2);
         assert_eq!(parse(&[]).unwrap().port, 0);
-        assert_eq!(parse(&[]).unwrap().requests, 5000);
     }
 
     #[test]
@@ -259,6 +252,10 @@ mod tests {
             "obs-bench",
             "--requests",
             "2000",
+            "--clients",
+            "16",
+            "--corpus-size",
+            "1000",
             "--access-log",
             "target/access.jsonl",
             "--json",
@@ -267,11 +264,26 @@ mod tests {
         .unwrap();
         assert_eq!(a.cmd.as_deref(), Some("obs-bench"));
         assert_eq!(a.requests, 2000);
+        assert_eq!(a.clients, 16);
+        assert_eq!(a.corpus_size, 1000);
         assert_eq!(
             a.access_log.as_deref(),
             Some(std::path::Path::new("target/access.jsonl"))
         );
         assert_eq!(parse(&[]).unwrap().access_log, None);
+        assert_eq!(parse(&[]).unwrap().requests, 5000);
+    }
+
+    #[test]
+    fn json_needs_a_single_subcommand() {
+        // Under `all` every subcommand would write its report to the same
+        // path and only the last would survive.
+        for words in [&["all", "--json", "r.json"][..], &["--json", "r.json"]] {
+            let e = parse(words).unwrap_err();
+            assert!(e.contains("--json"), "{e}");
+        }
+        assert!(parse(&["all", "--threads", "2"]).is_ok());
+        assert!(parse(&["verify", "--json", "v.json"]).is_ok());
     }
 
     #[test]
@@ -292,7 +304,7 @@ mod tests {
         assert!(parse(&["--access-log"]).is_err());
         assert!(parse(&["--calibrate", "--bogus"]).is_err());
         assert!(parse(&["--bogus"]).is_err());
-        assert!(parse(&["fleet", "fuzz"]).is_err());
+        assert!(parse(&["table2", "fuzz"]).is_err());
         assert!(parse(&["--out"]).is_err());
         assert!(parse(&["--json"]).is_err());
     }

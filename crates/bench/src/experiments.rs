@@ -101,7 +101,7 @@ fn unwrap_jobs<T>(results: Vec<hcg_exec::JobResult<T>>) -> Vec<T> {
 /// **Table 2**: execution time of the six benchmarks on the paper's primary
 /// platform (ARM Cortex-A72-like, GCC-like), 10 000 iterations.
 ///
-/// Rows are computed on the work-stealing pool with `threads` workers
+/// Rows are computed on the `hcg-exec` pool with `threads` workers
 /// (`0` = available parallelism); they are deterministic (cost-model
 /// arithmetic, not wall clock), so any worker count produces identical
 /// rows in identical order.

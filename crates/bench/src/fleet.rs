@@ -1,6 +1,6 @@
 //! Parallel evaluation fleet: fan the `model × generator × architecture`
-//! compile jobs of the paper's evaluation across an [`hcg_exec`]
-//! work-stealing pool.
+//! compile jobs of the paper's evaluation across the [`hcg_exec`] pool,
+//! one pool job per compile.
 //!
 //! One [`CompileSession`] per model is shared by reference across worker
 //! threads (the session's caches are `OnceLock`s, so whichever worker
@@ -13,9 +13,7 @@ use crate::experiments::short_name;
 use hcg_baselines::{DfSynthGen, SimulinkCoderGen};
 use hcg_core::emit::to_c_source;
 use hcg_core::{CodeGenerator, CompileSession, HcgGen};
-use hcg_exec::PoolStats;
 use hcg_isa::Arch;
-use std::time::{Duration, Instant};
 
 /// Generator short names the fleet drives, in evaluation order.
 pub const FLEET_GENERATORS: [&str; 3] = ["simulink-coder", "dfsynth", "hcg"];
@@ -85,34 +83,20 @@ pub struct FleetOutcome {
     /// Rendered C source of the generated program — the byte-identity
     /// witness.
     pub source: String,
-    /// Generation wall-clock for this one job.
-    pub gen_time: Duration,
 }
 
-/// A fleet run's results: outcomes in job-submission order plus pool and
-/// timing telemetry.
+/// A fleet run's results: outcomes in job-submission order.
 #[derive(Debug, Clone)]
 pub struct FleetRun {
     /// Per-job outcomes, in [`fleet_jobs`] order. `Err` carries the panic
     /// message of a job that died (panics are isolated per job).
     pub outcomes: Vec<Result<FleetOutcome, String>>,
-    /// Worker threads actually used.
-    pub workers: usize,
-    /// Work-stealing pool statistics (zero steals when sequential).
-    pub steals: u64,
-    /// End-to-end wall-clock for the whole run.
-    pub elapsed: Duration,
 }
 
 impl FleetRun {
     /// Jobs completed without panicking.
     pub fn ok_count(&self) -> usize {
         self.outcomes.iter().filter(|o| o.is_ok()).count()
-    }
-
-    /// Throughput in jobs per second.
-    pub fn jobs_per_sec(&self) -> f64 {
-        self.outcomes.len() as f64 / self.elapsed.as_secs_f64().max(1e-9)
     }
 
     /// The generated sources, in job order.
@@ -142,7 +126,6 @@ fn run_one(sessions: &[CompileSession], job: &FleetJob) -> FleetOutcome {
         )
     });
     let gen = generator_named(job.generator);
-    let start = Instant::now();
     let prog = session
         .generate(gen.as_ref(), job.arch)
         .unwrap_or_else(|e| panic!("{} on {}: {e}", job.generator, session.model().name));
@@ -151,90 +134,33 @@ fn run_one(sessions: &[CompileSession], job: &FleetJob) -> FleetOutcome {
         generator: job.generator,
         arch: job.arch,
         source: to_c_source(&prog),
-        gen_time: start.elapsed(),
     }
 }
 
-/// Render a caught panic payload the way [`hcg_exec`] renders job panics.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_owned()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "fleet job panicked".to_owned()
-    }
-}
-
-/// Run the fleet across `threads` workers (`0` = available parallelism).
-/// Results return in submission order; a panicking job surfaces as an
-/// `Err` slot without taking down its worker or the run.
-///
-/// Jobs are submitted to the pool in *batches* of several jobs each: one
-/// fleet job is only a few hundred microseconds of compile work, so
-/// per-job scheduling and steal traffic would otherwise eat the parallel
-/// speedup. Panics stay isolated per job via a `catch_unwind` inside the
-/// batch, and outcomes are flattened back into submission order, so the
-/// result is indistinguishable from one-job-per-submission apart from the
-/// wall-clock.
+/// Run the fleet across `threads` workers (`0` = available parallelism),
+/// one pool job per compile. Results return in submission order; a
+/// panicking job surfaces as an `Err` slot without taking down its worker
+/// or the run.
 pub fn run_fleet(sessions: &[CompileSession], arches: &[Arch], threads: usize) -> FleetRun {
     let jobs = fleet_jobs(sessions.len(), arches);
-    let start = Instant::now();
-    let workers = hcg_exec::effective_threads(threads).max(1);
-    // ~4 batches per worker balances amortisation against steal-ability.
-    let chunk = jobs.len().div_ceil(workers * 4).max(1);
     let closures: Vec<_> = jobs
-        .chunks(chunk)
-        .map(|batch| {
-            move || -> Vec<Result<FleetOutcome, String>> {
-                batch
-                    .iter()
-                    .map(|job| {
-                        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                            run_one(sessions, job)
-                        }))
-                        .map_err(|p| panic_message(p.as_ref()))
-                    })
-                    .collect()
-            }
-        })
+        .iter()
+        .map(|job| move || run_one(sessions, job))
         .collect();
-    let (results, stats): (_, PoolStats) = hcg_exec::run_jobs_with_stats(threads, closures);
-    let mut outcomes = Vec::with_capacity(jobs.len());
-    for (i, result) in results.into_iter().enumerate() {
-        match result {
-            Ok(batch) => outcomes.extend(batch),
-            Err(p) => {
-                // A batch death outside the per-job guard cannot normally
-                // happen; keep one error slot per member so the outcome
-                // count still matches the job count.
-                let len = jobs.chunks(chunk).nth(i).map_or(0, <[FleetJob]>::len);
-                let msg = p.to_string();
-                outcomes.extend(std::iter::repeat_with(|| Err(msg.clone())).take(len));
-            }
-        }
-    }
-    FleetRun {
-        outcomes,
-        workers: stats.workers,
-        steals: stats.steals,
-        elapsed: start.elapsed(),
-    }
+    let outcomes = hcg_exec::run_jobs(threads, closures)
+        .into_iter()
+        .map(|result| result.map_err(|p| p.message))
+        .collect();
+    FleetRun { outcomes }
 }
 
 /// The sequential baseline: the same jobs in the same order on the caller
 /// thread, without any pool machinery — the reference a parallel run's
-/// outputs and wall-clock are compared against.
+/// outputs are compared against.
 pub fn run_fleet_sequential(sessions: &[CompileSession], arches: &[Arch]) -> FleetRun {
     let jobs = fleet_jobs(sessions.len(), arches);
-    let start = Instant::now();
     let outcomes = jobs.iter().map(|job| Ok(run_one(sessions, job))).collect();
-    FleetRun {
-        outcomes,
-        workers: 1,
-        steals: 0,
-        elapsed: start.elapsed(),
-    }
+    FleetRun { outcomes }
 }
 
 #[cfg(test)]
@@ -255,7 +181,7 @@ mod tests {
     }
 
     #[test]
-    fn batched_parallel_matches_sequential() {
+    fn parallel_matches_sequential() {
         let seq_sessions: Vec<CompileSession> = benchmark_sessions().into_iter().take(2).collect();
         let seq = run_fleet_sequential(&seq_sessions, &FLEET_ARCHES);
         let par_sessions: Vec<CompileSession> = benchmark_sessions().into_iter().take(2).collect();

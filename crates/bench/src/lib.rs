@@ -28,7 +28,4 @@ pub use obsbench::{
 };
 pub use profile::{profile_json, profile_matrix, ProfileEntry};
 pub use search::{render_search, run_search, search_json, SearchReport, SearchRow};
-pub use serve::{
-    render_serve_bench, run_serve_bench, run_serve_smoke, serve_bench_json, ServeBenchConfig,
-    ServeBenchReport,
-};
+pub use serve::{run_serve_bench, run_serve_smoke, ServeBenchConfig, ServeBenchReport};

@@ -14,7 +14,7 @@
 //! conditions (frequency scaling, cache state, allocator warmth)
 //! instead of the first layer winning by going first. Within a round
 //! the layer order alternates forward/reverse between rounds, so any
-//! monotone drift across a round (a neighbour stealing the core, a
+//! monotone drift across a round (a neighbour taking the core, a
 //! thermal ramp) hits each layer's early and late slots equally and
 //! cancels over pairs of rounds. The wall-clock headline is the
 //! **median** of the per-round paired off-vs-histograms deltas, and

@@ -1,8 +1,8 @@
-//! The compile-service load generator (`repro -- serve-bench`) and CI
-//! smoke (`repro -- serve-smoke`).
+//! The compile-service load generator behind `repro -- obs-bench`, and
+//! the CI smoke (`repro -- serve-smoke`).
 //!
-//! `serve-bench` spins an [`hcg_serve`] daemon in-process on an ephemeral
-//! port, synthesizes an M-model corpus with the hcg-fuzz generator,
+//! [`run_serve_bench`] spins an [`hcg_serve`] daemon in-process on an
+//! ephemeral port, synthesizes an M-model corpus with the hcg-fuzz generator,
 //! replays a Zipf-skewed request mix from C concurrent client threads
 //! over real TCP connections, and checks every response byte-identical to
 //! a direct (daemon-free) [`CompileSession`](hcg_core::CompileSession)
@@ -171,7 +171,7 @@ pub fn run_serve_bench(config: &ServeBenchConfig) -> ServeBenchReport {
         access_log: config.access_log.clone(),
         ..ServeConfig::default()
     })
-    .expect("serve-bench daemon binds an ephemeral port");
+    .expect("bench daemon binds an ephemeral port");
     let addr = handle.addr();
 
     // Split the request budget across clients (first client absorbs the
@@ -278,71 +278,6 @@ pub fn run_serve_bench(config: &ServeBenchConfig) -> ServeBenchReport {
     };
     handle.shutdown();
     report
-}
-
-/// Render the report for the transcript.
-pub fn render_serve_bench(r: &ServeBenchReport) -> String {
-    let mut out = String::new();
-    let mut line = |s: String| {
-        out.push_str(&s);
-        out.push('\n');
-    };
-    line(format!(
-        "{} requests from {} clients over a {}-model corpus (Zipf s={ZIPF_S}, seed {})",
-        r.config.requests, r.config.clients, r.config.corpus_size, r.config.seed
-    ));
-    line(format!(
-        "distinct keys: {}  compiles: {}  hits: {}  misses: {}  joins: {}  evicted: {}",
-        r.distinct_keys, r.compiles, r.hits, r.misses, r.joins, r.evicted
-    ));
-    line(format!(
-        "hit rate: {:.1}%  front-end session hits: {}",
-        r.hit_rate() * 100.0,
-        r.session_hits
-    ));
-    line(format!(
-        "throughput: {:.0} requests/s  latency p50: {} us  p99: {} us  ({:.2} s total)",
-        r.requests_per_sec(),
-        r.p50_us,
-        r.p99_us,
-        r.elapsed_s
-    ));
-    line(format!(
-        "responses byte-identical to direct compile: {} ({} compile-failure responses replayed)",
-        r.identical, r.failures
-    ));
-    out
-}
-
-/// The report as the committed `BENCH_serve.json` schema.
-pub fn serve_bench_json(r: &ServeBenchReport) -> String {
-    format!(
-        "{{\n  \"experiment\": \"serve\",\n  \"requests\": {},\n  \"clients\": {},\n  \
-         \"corpus_size\": {},\n  \"seed\": {},\n  \"zipf_s\": {ZIPF_S},\n  \
-         \"distinct_keys\": {},\n  \"compiles\": {},\n  \"hits\": {},\n  \"misses\": {},\n  \
-         \"joins\": {},\n  \"evicted\": {},\n  \"session_hits\": {},\n  \
-         \"hit_rate\": {:.4},\n  \"requests_per_sec\": {:.1},\n  \"p50_us\": {},\n  \
-         \"p99_us\": {},\n  \"elapsed_s\": {:.3},\n  \"identical_responses\": {},\n  \
-         \"failure_responses\": {}\n}}\n",
-        r.config.requests,
-        r.config.clients,
-        r.config.corpus_size,
-        r.config.seed,
-        r.distinct_keys,
-        r.compiles,
-        r.hits,
-        r.misses,
-        r.joins,
-        r.evicted,
-        r.session_hits,
-        r.hit_rate(),
-        r.requests_per_sec(),
-        r.p50_us,
-        r.p99_us,
-        r.elapsed_s,
-        r.identical,
-        r.failures,
-    )
 }
 
 /// The CI smoke: a daemon on an ephemeral port, two bundled models each
@@ -470,9 +405,6 @@ mod tests {
             report.hit_rate() > 0.5,
             "40 requests over ≤10 keys mostly hit"
         );
-        let json = serve_bench_json(&report);
-        hcg_obs::json::validate(&json).expect("serve bench JSON validates");
-        assert!(render_serve_bench(&report).contains("hit rate"));
     }
 
     #[test]

@@ -6,8 +6,8 @@
 //! with its name, not downstream in whatever tool ingests the file.
 
 use hcg_bench::{
-    obs_bench_json, profile_json, profile_matrix, run_search, run_serve_bench, search_json,
-    serve_bench_json, ObsBenchConfig, ObsBenchReport, ObsLayerResult, ServeBenchConfig,
+    obs_bench_json, profile_json, profile_matrix, run_search, search_json, ObsBenchConfig,
+    ObsBenchReport, ObsLayerResult,
 };
 use hcg_fuzz::{run_fuzz, FuzzConfig};
 use hcg_obs::{Histogram, MetricsSnapshot, SpanEvent};
@@ -61,15 +61,6 @@ fn every_json_artifact_validates() {
     let mut artifacts: Vec<(&str, String)> = Vec::new();
 
     // Bench reports.
-    let serve_report = run_serve_bench(&ServeBenchConfig {
-        requests: 12,
-        clients: 2,
-        corpus_size: 3,
-        seed: 1,
-        workers: 2,
-        ..ServeBenchConfig::default()
-    });
-    artifacts.push(("serve-bench report", serve_bench_json(&serve_report)));
     artifacts.push(("obs-bench report", obs_bench_json(&obs_report())));
     artifacts.push(("search report", search_json(&run_search(2, false, 1, 2))));
     let profiled = profile_matrix(Some("fir"));

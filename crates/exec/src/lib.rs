@@ -1,9 +1,10 @@
 //! # hcg-exec — the parallel execution engine
 //!
-//! A work-stealing thread-pool scheduler for compilation fleets: the
-//! evaluation harness fans its model × generator × architecture
+//! A scoped thread pool for compilation fleets: the evaluation harness
+//! fans its model × generator × architecture
 //! [`CompileSession`](../hcg_core/struct.CompileSession.html) jobs across N
-//! workers. Three properties matter more than raw scheduling cleverness:
+//! workers, and the compile daemon starts its long-lived worker loops on
+//! it. Three properties matter more than raw scheduling cleverness:
 //!
 //! 1. **Deterministic result ordering** — results come back indexed by
 //!    submission order, so a parallel fleet run is byte-identical to the
@@ -15,12 +16,11 @@
 //!    so they can borrow shared state (sessions, instruction sets) without
 //!    `Arc`-wrapping the world.
 //!
-//! The scheduler is a classic work-stealing design built only on `std`:
-//! each worker owns a deque seeded round-robin; a worker pops from the
-//! *front* of its own deque and, when empty, steals from the *back* of a
-//! victim's deque (cyclic scan starting at its right neighbour). Jobs never
-//! spawn jobs, so global emptiness is monotonic and workers can exit as
-//! soon as a full scan finds nothing.
+//! The scheduler is one shared atomic index: each worker takes the next
+//! unclaimed job by submission index and writes its outcome into that
+//! index's result slot. Jobs never spawn jobs, so a worker exits as soon
+//! as the index runs past the last job. With as many workers as jobs,
+//! every job runs at once.
 //!
 //! # Examples
 //!
@@ -33,11 +33,10 @@
 
 #![warn(missing_docs)]
 
-use std::collections::VecDeque;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Mutex};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 /// A job panicked; the payload message is preserved, the fleet continues.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -65,9 +64,6 @@ pub type JobResult<T> = Result<T, JobPanic>;
 pub struct PoolStats {
     /// Worker threads actually spawned.
     pub workers: usize,
-    /// Jobs executed by a worker other than the one whose deque they were
-    /// seeded into.
-    pub steals: u64,
 }
 
 /// Resolve a requested thread count: `0` means "all available cores",
@@ -82,8 +78,8 @@ pub fn effective_threads(requested: usize) -> usize {
     }
 }
 
-/// Run `jobs` on a work-stealing pool of up to `threads` workers and return
-/// one [`JobResult`] per job **in submission order**.
+/// Run `jobs` on a pool of up to `threads` workers and return one
+/// [`JobResult`] per job **in submission order**.
 ///
 /// `threads == 0` uses every available core. The pool never spawns more
 /// workers than there are jobs. Jobs may borrow from the caller's stack —
@@ -108,73 +104,36 @@ where
     }
     let workers = effective_threads(threads).clamp(1, n_jobs);
 
-    // Seed the per-worker deques round-robin by submission index. Each
-    // entry remembers its home worker so steals can be counted.
-    let deques: Vec<Mutex<VecDeque<(usize, F)>>> =
-        (0..workers).map(|_| Mutex::new(VecDeque::new())).collect();
-    for (index, job) in jobs.into_iter().enumerate() {
-        deques[index % workers]
-            .lock()
-            .expect("deque lock poisoned during seeding")
-            .push_back((index, job));
-    }
-
-    let steals = AtomicU64::new(0);
-    let (tx, rx) = mpsc::channel::<(usize, JobResult<T>)>();
+    // Job `i` and its result share index `i`; a worker claims an index
+    // from `next`, so each job is taken exactly once.
+    let jobs: Vec<Mutex<Option<F>>> = jobs.into_iter().map(|j| Mutex::new(Some(j))).collect();
+    let slots: Vec<Mutex<Option<JobResult<T>>>> = (0..n_jobs).map(|_| Mutex::new(None)).collect();
+    let next = AtomicUsize::new(0);
     // Capture the submitter's trace context so spans recorded inside the
     // jobs stitch under the submitting thread's open span — one request's
     // compile fan-out stays one tree even across the pool boundary.
     let submitter_ctx = hcg_obs::current_trace_context();
 
     std::thread::scope(|scope| {
-        for me in 0..workers {
-            let deques = &deques;
-            let steals = &steals;
-            let tx = tx.clone();
-            scope.spawn(move || {
+        for _ in 0..workers {
+            scope.spawn(|| {
                 let _trace = hcg_obs::trace_scope(submitter_ctx);
                 loop {
-                    // Own work first: pop the front (submission order).
-                    let mine = deques[me].lock().expect("deque lock poisoned").pop_front();
-                    let (index, job, stolen) = match mine {
-                        Some((index, job)) => (index, job, false),
-                        None => {
-                            // Steal scan: victims in cyclic order, taking
-                            // from the back (the opposite end of the
-                            // victim's own pops) to minimise contention.
-                            let mut found = None;
-                            for off in 1..workers {
-                                let victim = (me + off) % workers;
-                                if let Some(item) = deques[victim]
-                                    .lock()
-                                    .expect("deque lock poisoned")
-                                    .pop_back()
-                                {
-                                    found = Some(item);
-                                    break;
-                                }
-                            }
-                            match found {
-                                Some((index, job)) => (index, job, true),
-                                // Jobs never enqueue jobs, so an empty scan
-                                // means the fleet is drained.
-                                None => break,
-                            }
-                        }
+                    let index = next.fetch_add(1, Ordering::Relaxed);
+                    let Some(job) = jobs.get(index) else {
+                        break; // every job is claimed
                     };
-                    if stolen {
-                        steals.fetch_add(1, Ordering::Relaxed);
-                    }
-                    let _job_span = hcg_obs::span_with("exec", || {
-                        format!("job{index}{}", if stolen { " (stolen)" } else { "" })
-                    });
+                    let job = job
+                        .lock()
+                        .expect("job lock poisoned")
+                        .take()
+                        .expect("each job index is claimed once");
+                    let _job_span = hcg_obs::span_with("exec", || format!("job{index}"));
                     let outcome = catch_unwind(AssertUnwindSafe(job)).map_err(|payload| JobPanic {
                         index,
                         message: panic_message(payload.as_ref()),
                     });
-                    if tx.send((index, outcome)).is_err() {
-                        break; // receiver gone — nothing left to report to
-                    }
+                    *slots[index].lock().expect("slot lock poisoned") = Some(outcome);
                 }
                 // Publish any still-buffered spans before the scope joins
                 // this worker: thread-local destructors can run after the
@@ -183,37 +142,24 @@ where
                 hcg_obs::flush_thread();
             });
         }
-        drop(tx);
+    });
 
-        // Deterministic ordering: place each result by submission index.
-        let mut slots: Vec<Option<JobResult<T>>> = (0..n_jobs).map(|_| None).collect();
-        for (index, outcome) in rx {
-            slots[index] = Some(outcome);
-        }
-        let results = slots
-            .into_iter()
-            .enumerate()
-            .map(|(index, slot)| {
-                slot.unwrap_or_else(|| {
-                    // A worker died between dequeue and send (double panic);
-                    // surface it as a job failure rather than losing a slot.
-                    Err(JobPanic {
-                        index,
-                        message: "worker lost before reporting".into(),
-                    })
-                })
-            })
-            .collect();
-        let stats = PoolStats {
-            workers,
-            steals: steals.load(Ordering::Relaxed),
-        };
-        (results, stats)
-    })
+    // The scope joined every worker and re-raises a worker's own panic,
+    // so each claimed job has reported by now.
+    let results = slots
+        .into_iter()
+        .map(|slot| {
+            slot.into_inner()
+                .expect("slot lock poisoned")
+                .expect("every job reports before the workers join")
+        })
+        .collect();
+    (results, PoolStats { workers })
 }
 
-/// Render a panic payload the way the default hook does.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+/// Render a panic payload the way the default hook does: `&str` and
+/// `String` payloads verbatim, anything else as a placeholder.
+pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_owned()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -227,7 +173,7 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
-    use std::time::Duration;
+    use std::time::{Duration, Instant};
 
     #[test]
     fn empty_fleet() {
@@ -298,23 +244,28 @@ mod tests {
     }
 
     #[test]
-    fn uneven_jobs_get_stolen() {
-        // Worker 0's deque is seeded with the slow job plus a pile of fast
-        // ones (round-robin over 2 workers); worker 1 drains its own and
-        // must steal worker 0's backlog.
-        let jobs: Vec<Box<dyn FnOnce() -> usize + Send>> = (0..64usize)
-            .map(|i| {
-                Box::new(move || {
-                    if i == 0 {
-                        std::thread::sleep(Duration::from_millis(40));
+    fn n_jobs_on_n_threads_all_run_at_once() {
+        // The compile daemon starts its worker loops as one job per
+        // thread; that only works if every job is running before any job
+        // finishes. Each job waits (up to a deadline, so a regression
+        // fails instead of hanging) until all have arrived.
+        const N: usize = 4;
+        let arrived = AtomicUsize::new(0);
+        let deadline = Instant::now() + Duration::from_secs(5);
+        let jobs: Vec<_> = (0..N)
+            .map(|_| {
+                || {
+                    arrived.fetch_add(1, Ordering::SeqCst);
+                    while arrived.load(Ordering::SeqCst) < N && Instant::now() < deadline {
+                        std::thread::sleep(Duration::from_millis(1));
                     }
-                    i
-                }) as Box<dyn FnOnce() -> usize + Send>
+                    arrived.load(Ordering::SeqCst)
+                }
             })
             .collect();
-        let (results, stats) = run_jobs_with_stats(2, jobs);
-        assert!(results.iter().all(|r| r.is_ok()));
-        assert!(stats.steals > 0, "expected steals, got {stats:?}");
+        for (i, r) in run_jobs(N, jobs).into_iter().enumerate() {
+            assert_eq!(r.unwrap(), N, "job {i} ran without the others");
+        }
     }
 
     #[test]
@@ -344,11 +295,10 @@ mod tests {
     }
 
     #[test]
-    fn single_thread_never_steals() {
+    fn single_thread_keeps_submission_order() {
         let jobs: Vec<_> = (0..50usize).map(|i| move || i + 1).collect();
         let (results, stats) = run_jobs_with_stats(1, jobs);
         assert_eq!(stats.workers, 1);
-        assert_eq!(stats.steals, 0, "one worker has nobody to steal from");
         for (i, r) in results.iter().enumerate() {
             assert_eq!(*r.as_ref().unwrap(), i + 1);
         }
@@ -359,14 +309,13 @@ mod tests {
         // 10 000 requested threads, one job: exactly one worker spawns.
         let (results, stats) = run_jobs_with_stats(10_000, vec![|| 42u32]);
         assert_eq!(stats.workers, 1);
-        assert_eq!(stats.steals, 0);
         assert_eq!(*results[0].as_ref().unwrap(), 42);
     }
 
     #[test]
     fn many_more_threads_than_jobs() {
-        // Excess workers must park/exit cleanly without stealing phantom
-        // work or dropping result slots.
+        // Excess workers must exit cleanly without claiming phantom work
+        // or dropping result slots.
         for threads in [5, 64, 1000] {
             let jobs: Vec<_> = (0..3usize).map(|i| move || i * 7).collect();
             let (results, stats) = run_jobs_with_stats(threads, jobs);

@@ -1,5 +1,5 @@
 //! A minimal blocking client for the daemon's HTTP subset — enough for
-//! the test suite, the CI smoke and the `serve-bench` load generator to
+//! the test suite, the CI smoke and the `obs-bench` load generator to
 //! talk to a daemon without external dependencies.
 
 use std::io::{self, BufRead, BufReader, Read, Write};

@@ -13,7 +13,8 @@
 //! - compiles run through [`hcg_core::CompileSession`], so every option
 //!   combination over one model shares a single parsed/validated front
 //!   end (the session cache is itself LRU-capped);
-//! - connections fan out over the [`hcg_exec`] work-stealing pool;
+//! - connections fan out over the [`hcg_exec`] pool, one worker loop per
+//!   thread;
 //! - cache and request counters are per-daemon atomics
 //!   ([`ServeHandle::counters`]) and compile spans go to the [`hcg_obs`]
 //!   tracer; `GET /metrics` builds its snapshot from the counters, the

@@ -2,8 +2,8 @@
 //! single-flight compile path and service counters.
 //!
 //! One thread accepts connections and feeds them through a channel to N
-//! worker jobs running on the existing [`hcg_exec`] work-stealing pool
-//! (the same engine the evaluation fleet uses). Each worker loops:
+//! worker jobs running on the existing [`hcg_exec`] pool, one job per
+//! worker thread (the same engine the evaluation fleet uses). Each worker loops:
 //! receive a connection, read one request, route it, write one response,
 //! close. Compiles are deduplicated twice — finished artifacts through the
 //! sharded content-addressed cache, concurrent identical requests through
@@ -467,7 +467,10 @@ fn handle_connection(state: &ServeState, conn: Conn) {
             state.counters.http_errors();
             Response::text(
                 500,
-                format!("internal error: {}\n", panic_text(payload.as_ref())),
+                format!(
+                    "internal error: {}\n",
+                    hcg_exec::panic_message(payload.as_ref())
+                ),
             )
         }
     };
@@ -514,17 +517,6 @@ fn handle_connection(state: &ServeState, conn: Conn) {
     }
 
     let _ = http::write_response(&mut writer, &response);
-}
-
-/// Render a panic payload (`&str`/`String` verbatim, placeholder else).
-fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_owned()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_owned()
-    }
 }
 
 fn route(state: &ServeState, request: &Request) -> Response {

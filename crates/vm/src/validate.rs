@@ -13,8 +13,9 @@ use crate::program::{BufferId, ElemRef, IndexExpr, Program, RegId, ScalarOp, Stm
 use hcg_kernels::CodeLibrary;
 use std::fmt;
 
-/// Classification of a static program defect.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+/// Classification of a static program defect. Kinds order by declaration,
+/// which is the order lint reports list them in.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum DefectKind {
     /// A buffer id exceeds the program's buffer table.
     BufferOutOfRange,
@@ -44,6 +45,29 @@ pub enum DefectKind {
     CopyLengthMismatch,
     /// A whole-buffer copy between buffers of different element dtype.
     CopyDtypeMismatch,
+}
+
+impl DefectKind {
+    /// The stable kebab-case lint code this defect renders as.
+    pub const fn name(self) -> &'static str {
+        use DefectKind::*;
+        match self {
+            BufferOutOfRange => "program/buffer-out-of-range",
+            RegisterOutOfRange => "program/register-out-of-range",
+            ElementOutOfBounds => "program/element-out-of-bounds",
+            VectorOutOfBounds => "program/vector-out-of-bounds",
+            ScalarArity => "program/scalar-arity",
+            DtypeUnsupported => "program/dtype-unsupported",
+            VOpOperandCount => "program/vop-operand-count",
+            VOpShapeMismatch => "program/vop-shape-mismatch",
+            VRegDtypeMismatch => "program/vreg-dtype-mismatch",
+            UnknownKernel => "program/unknown-kernel",
+            NestedLoop => "program/nested-loop",
+            ZeroStepLoop => "program/zero-step-loop",
+            CopyLengthMismatch => "program/copy-length-mismatch",
+            CopyDtypeMismatch => "program/copy-dtype-mismatch",
+        }
+    }
 }
 
 /// One structural defect, with its classification and full description.

@@ -45,6 +45,13 @@ CARGO_TARGET_DIR=.bench_build cargo run -q --release --offline --locked \
 tail -n 1 target/ledger-paper-smoke.txt | grep -q '"correct": true'
 tail -n 1 target/ledger-paper-smoke.txt | grep -q '"failed": 0,'
 
+echo "==> ledger serve-zipf smoke (one short traced run: every served body matches a direct compile, no op fails)"
+CARGO_TARGET_DIR=.bench_build cargo run -q --release --offline --locked \
+    --manifest-path ledger/Cargo.toml -- run --workload serve-zipf --seed 1 \
+    --seconds 2 --trace 1 --out target/ledger-smoke > target/ledger-serve-smoke.txt
+tail -n 1 target/ledger-serve-smoke.txt | grep -q '"correct": true'
+tail -n 1 target/ledger-serve-smoke.txt | grep -q '"failed": 0,'
+
 echo "==> lint example models"
 cargo run -q --release -p hcg-bench --bin lint -- examples/models/*.xml
 
@@ -52,11 +59,6 @@ echo "==> static verification gate (prove the fleet; committed BENCH files are n
 cargo run -q --release -p hcg-bench --bin repro -- verify \
     --json target/verify.json --out target/repro_verify.txt
 grep -q '"all_equivalent": true' target/verify.json
-
-echo "==> fleet smoke run (parallel vs sequential byte-identity + bench JSON)"
-cargo run -q --release -p hcg-bench --bin repro -- fleet --threads 2 \
-    --json target/fleet.json --out target/repro_fleet.txt
-grep -q '"identical_outputs": true' target/fleet.json
 
 echo "==> incremental smoke run (edit-replay program identity + bench JSON)"
 cargo run -q --release -p hcg-bench --bin repro -- incremental --seed 0 --edits 50 \
@@ -91,12 +93,6 @@ cargo run -q --release -p hcg-bench --bin repro -- serve-smoke \
     --out target/repro_serve_smoke.txt
 grep -q "clean shutdown" target/repro_serve_smoke.txt
 grep -q "prometheus scrape parses" target/repro_serve_smoke.txt
-
-echo "==> compile-service bench smoke (Zipf replay, byte-identity gate)"
-cargo run -q --release -p hcg-bench --bin repro -- serve-bench --requests 50 \
-    --clients 4 --corpus-size 10 \
-    --json target/serve_smoke.json --out target/repro_serve_bench.txt
-grep -q '"identical_responses": true' target/serve_smoke.json
 
 echo "==> observability overhead smoke (telemetry layers off/hist/log/trace; gate skipped on short runs)"
 cargo run -q --release -p hcg-bench --bin repro -- obs-bench --requests 60 \

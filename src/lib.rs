@@ -14,7 +14,7 @@
 //! | [`kernels`] | `hcg-kernels` | Intensive-actor code library (FFT/DCT/Conv/Matrix families) + Algorithm 1 autotuning |
 //! | [`vm`] | `hcg-vm` | Executable program IR, interpreter, per-platform cost models |
 //! | [`core`] | `hcg-core` | The HCG generator: actor dispatch, Algorithms 1 & 2, C-source emission |
-//! | [`exec`] | `hcg-exec` | Work-stealing thread pool for fanning compile jobs across workers |
+//! | [`exec`] | `hcg-exec` | Scoped thread pool (one shared job index, results in submission order) for fanning compile jobs across workers |
 //! | [`baselines`] | `hcg-baselines` | Simulink-Coder-like and DFSynth-like reference generators |
 //! | [`analysis`] | `hcg-analysis` | Multi-pass static analyzer: model lints and generated-program lints |
 //! | [`verify`] | `hcg-verify` | Static translation validation: symbolic equivalence proofs, effect analysis, value-range lints |
