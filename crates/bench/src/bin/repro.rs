@@ -461,10 +461,9 @@ fn incremental_cmd(args: &cli::CommonArgs) {
         "spliced",
         "patched"
     );
-    let mut all_identical = true;
+    let all_identical = rows.iter().all(|r| r.identical);
     let (mut inc_total, mut scratch_total) = (0.0f64, 0.0f64);
     for r in &rows {
-        all_identical &= r.identical;
         inc_total += r.incremental.as_secs_f64();
         scratch_total += r.scratch.as_secs_f64();
         outln!(
@@ -480,7 +479,7 @@ fn incremental_cmd(args: &cli::CommonArgs) {
             r.programs_patched
         );
     }
-    let overall = scratch_total / inc_total.max(1e-12);
+    let overall = overall_speedup(&rows);
     outln!("  overall speedup: {overall:.2}x (scratch {scratch_total:.3}s / incremental {inc_total:.3}s)");
     outln!("  incremental programs identical to scratch: {all_identical}");
     outln!(
@@ -492,32 +491,7 @@ fn incremental_cmd(args: &cli::CommonArgs) {
         rows.iter().map(|r| r.programs_patched).sum::<u64>()
     );
     if let Some(path) = &args.json {
-        let mut body = String::from("{\n  \"experiment\": \"incremental\",\n  \"models\": [\n");
-        for (i, r) in rows.iter().enumerate() {
-            body.push_str(&format!(
-                "    {{\"model\": \"{}\", \"edits\": {}, \"incremental_ms\": {:.3}, \
-                 \"scratch_ms\": {:.3}, \"speedup\": {:.3}, \"identical\": {}, \
-                 \"regions_admitted\": {}, \"regions_invalidated\": {}, \"plans_spliced\": {}, \
-                 \"programs_patched\": {}}}{}\n",
-                r.model,
-                r.edits,
-                r.incremental.as_secs_f64() * 1e3,
-                r.scratch.as_secs_f64() * 1e3,
-                r.speedup(),
-                r.identical,
-                r.regions_admitted,
-                r.regions_invalidated,
-                r.plans_spliced,
-                r.programs_patched,
-                if i + 1 == rows.len() { "" } else { "," }
-            ));
-        }
-        body.push_str(&format!(
-            "  ],\n  \"edits_per_model\": {},\n  \"overall_speedup\": {overall:.3},\n  \"identical_outputs\": {all_identical}\n}}\n",
-            cfg.edits
-        ));
-        hcg_obs::json::validate(&body).expect("incremental JSON must validate");
-        write_report_file(path, &body, "incremental bench");
+        write_report_file(path, &incremental_json(&cfg, &rows), "incremental bench");
     }
     assert!(
         all_identical,
@@ -544,9 +518,7 @@ fn search_cmd(args: &cli::CommonArgs) {
         after.memo_misses - before.memo_misses
     );
     if let Some(path) = &args.json {
-        let body = search_json(&report);
-        hcg_obs::json::validate(&body).expect("search JSON must validate");
-        write_report_file(path, &body, "search report");
+        write_report_file(path, &search_json(&report), "search report");
     }
     assert!(
         report.gate.all_proved(),
@@ -619,15 +591,7 @@ fn fuzz_cmd(args: &cli::CommonArgs) {
         }
     }
     if let Some(path) = &args.json {
-        if let Some(parent) = path.parent() {
-            if !parent.as_os_str().is_empty() {
-                let _ = std::fs::create_dir_all(parent);
-            }
-        }
-        match std::fs::write(path, report.to_json()) {
-            Ok(()) => outln!("  (fuzz report written to {})", path.display()),
-            Err(e) => eprintln!("warning: could not write {}: {e}", path.display()),
-        }
+        write_report_file(path, &report.to_json(), "fuzz report");
     }
     assert_eq!(
         report.divergence_count(),
@@ -680,14 +644,10 @@ fn profile_cmd(args: &cli::CommonArgs) {
         outln!("  {line}");
     }
     if let Some(path) = &args.trace {
-        let trace = hcg_obs::chrome_trace_json(&events);
-        hcg_obs::json::validate(&trace).expect("chrome trace JSON must validate");
-        write_report_file(path, &trace, "trace");
+        write_report_file(path, &hcg_obs::chrome_trace_json(&events), "trace");
     }
     if let Some(path) = &args.json {
-        let body = profile_json(&entries);
-        hcg_obs::json::validate(&body).expect("profile JSON must validate");
-        write_report_file(path, &body, "profile");
+        write_report_file(path, &profile_json(&entries), "profile");
     }
 }
 
@@ -756,7 +716,6 @@ fn verify_cmd(args: &cli::CommonArgs) {
     let arches = [Arch::Neon128, Arch::Avx256];
     let mut rows = Vec::new();
     let mut lint_reports = Vec::new();
-    let mut all_equivalent = true;
     hcg_obs::clear_events();
     hcg_obs::set_tracing(true);
     for m in gate_models() {
@@ -772,15 +731,14 @@ fn verify_cmd(args: &cli::CommonArgs) {
                         generator.name()
                     )
                 });
-                all_equivalent &= outcome.equivalent;
                 let ranges = hcg_verify::range_lint(&prog);
-                rows.push((
-                    m.name.clone(),
-                    generator.name(),
+                rows.push(VerifyRow {
+                    model: m.name.clone(),
+                    generator: generator.name(),
                     arch,
                     outcome,
-                    ranges.diagnostics.len(),
-                ));
+                    range_findings: ranges.diagnostics.len(),
+                });
                 lint_reports.push(ranges);
             }
         }
@@ -798,16 +756,17 @@ fn verify_cmd(args: &cli::CommonArgs) {
         "exprs",
         "rlints"
     );
-    for (model, generator, arch, outcome, rlints) in &rows {
+    for row in &rows {
+        let outcome = &row.outcome;
         outln!(
             "  {:>12} {:>16} {:>8} {:>8} {:>8} {:>8} {:>8}",
-            model,
-            generator,
-            format!("{arch}"),
+            row.model,
+            row.generator,
+            format!("{}", row.arch),
             if outcome.equivalent { "yes" } else { "NO" },
             outcome.elems,
             outcome.exprs,
-            rlints
+            row.range_findings
         );
         if let Some(w) = &outcome.witness {
             outln!("      divergence: {w}");
@@ -827,41 +786,21 @@ fn verify_cmd(args: &cli::CommonArgs) {
         }
     }
     let verify_spans = spans.iter().filter(|e| e.cat == "verify").count();
-    let proved = rows.iter().filter(|row| row.3.equivalent).count();
+    let proved = rows.iter().filter(|row| row.outcome.equivalent).count();
     outln!(
         "\n  {} program(s) verified, {} proved, {} divergent; {} expression node(s) interned",
         rows.len(),
         proved,
         rows.len() - proved,
-        rows.iter().map(|row| row.3.exprs).sum::<usize>()
+        rows.iter().map(|row| row.outcome.exprs).sum::<usize>()
     );
     outln!("  {verify_spans} verify span(s) captured in the tracer");
 
     if let Some(path) = &args.json {
-        let mut body = String::from("{\n  \"experiment\": \"verify\",\n  \"results\": [\n");
-        for (i, (model, generator, arch, outcome, rlints)) in rows.iter().enumerate() {
-            body.push_str(&format!(
-                "    {{\"model\": \"{model}\", \"generator\": \"{generator}\", \"arch\": \"{arch}\", \
-                 \"equivalent\": {}, \"outports\": {}, \"states\": {}, \"elems\": {}, \"exprs\": {}, \
-                 \"range_findings\": {}}}{}\n",
-                outcome.equivalent,
-                outcome.outports,
-                outcome.states,
-                outcome.elems,
-                outcome.exprs,
-                rlints,
-                if i + 1 == rows.len() { "" } else { "," }
-            ));
-        }
-        body.push_str(&format!(
-            "  ],\n  \"programs\": {},\n  \"all_equivalent\": {all_equivalent},\n  \"range_errors\": {range_errors}\n}}\n",
-            rows.len()
-        ));
-        hcg_obs::json::validate(&body).expect("verify JSON must validate");
-        write_report_file(path, &body, "verify report");
+        write_report_file(path, &verify_json(&rows, range_errors), "verify report");
     }
     assert!(
-        all_equivalent,
+        proved == rows.len(),
         "static verification found divergent programs; see the table above"
     );
     assert!(
@@ -917,20 +856,29 @@ fn obs_bench_cmd(args: &cli::CommonArgs) {
         outln!("  {line}");
     }
     if let Some(path) = &args.json {
-        let body = obs_bench_json(&report);
-        hcg_obs::json::validate(&body).expect("obs bench JSON must validate");
-        write_report_file(path, &body, "observability overhead report");
+        write_report_file(
+            path,
+            &obs_bench_json(&report),
+            "observability overhead report",
+        );
     }
 }
 
-/// Write a report body to `path`, creating parent directories.
+/// Check that `body` is well-formed JSON, then write it and a trailing
+/// newline to `path`, creating parent directories.
 fn write_report_file(path: &std::path::Path, body: &str, what: &str) {
+    if let Err(e) = hcg_obs::json::validate(body) {
+        panic!(
+            "{what} is not valid JSON ({e}); not writing {}",
+            path.display()
+        );
+    }
     if let Some(parent) = path.parent() {
         if !parent.as_os_str().is_empty() {
             let _ = std::fs::create_dir_all(parent);
         }
     }
-    match std::fs::write(path, body) {
+    match std::fs::write(path, format!("{body}\n")) {
         Ok(()) => outln!("  ({what} written to {})", path.display()),
         Err(e) => eprintln!("warning: could not write {}: {e}", path.display()),
     }

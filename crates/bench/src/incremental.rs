@@ -17,6 +17,7 @@ use crate::fleet::{generator_named, FLEET_ARCHES, FLEET_GENERATORS};
 use hcg_core::EditSession;
 use hcg_model::delta::EditOp;
 use hcg_model::{ActorKind, Model, ModelDelta, Param};
+use hcg_obs::json::{self, Fixed};
 use std::time::{Duration, Instant};
 
 /// Tunables of one incremental-bench run.
@@ -148,6 +149,45 @@ pub fn run_incremental_bench(cfg: &IncrementalBenchConfig) -> Vec<IncrementalRow
         .into_iter()
         .map(|m| bench_model(m, cfg))
         .collect()
+}
+
+/// Total scratch time over total incremental time across `rows`.
+pub fn overall_speedup(rows: &[IncrementalRow]) -> f64 {
+    let total = |time: fn(&IncrementalRow) -> Duration| -> f64 {
+        rows.iter().map(|r| time(r).as_secs_f64()).sum()
+    };
+    total(|r| r.scratch) / total(|r| r.incremental).max(1e-12)
+}
+
+/// The run as the committed `BENCH_incremental.json` schema.
+pub fn incremental_json(cfg: &IncrementalBenchConfig, rows: &[IncrementalRow]) -> String {
+    let mut out = String::new();
+    json::object(&mut out, |o| {
+        o.field("experiment", "incremental")
+            .array("models", |a| {
+                for r in rows {
+                    a.object(|o| {
+                        o.field("model", &r.model)
+                            .field("edits", r.edits)
+                            .field(
+                                "incremental_ms",
+                                Fixed(r.incremental.as_secs_f64() * 1e3, 3),
+                            )
+                            .field("scratch_ms", Fixed(r.scratch.as_secs_f64() * 1e3, 3))
+                            .field("speedup", Fixed(r.speedup(), 3))
+                            .field("identical", r.identical)
+                            .field("regions_admitted", r.regions_admitted)
+                            .field("regions_invalidated", r.regions_invalidated)
+                            .field("plans_spliced", r.plans_spliced)
+                            .field("programs_patched", r.programs_patched);
+                    });
+                }
+            })
+            .field("edits_per_model", cfg.edits)
+            .field("overall_speedup", Fixed(overall_speedup(rows), 3))
+            .field("identical_outputs", rows.iter().all(|r| r.identical));
+    });
+    out
 }
 
 fn bench_model(model: Model, cfg: &IncrementalBenchConfig) -> IncrementalRow {

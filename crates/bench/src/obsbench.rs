@@ -42,6 +42,7 @@
 //! requests to estimate even the service time honestly.
 
 use crate::serve::{run_serve_bench, ServeBenchConfig, ServeBenchReport};
+use hcg_obs::json::{self, Fixed};
 use hcg_obs::Histogram;
 use std::path::PathBuf;
 use std::time::Instant;
@@ -393,43 +394,41 @@ pub fn render_obs_bench(r: &ObsBenchReport) -> String {
 
 /// The report as the committed `BENCH_obs.json` schema.
 pub fn obs_bench_json(r: &ObsBenchReport) -> String {
-    let layers: Vec<String> = r
-        .layers
-        .iter()
-        .map(|l| {
-            format!(
-                "    {{\"layer\": \"{}\", \"requests_per_sec\": {:.1}, \"p50_us\": {}, \
-                 \"p99_us\": {}, \"hit_rate\": {:.4}}}",
-                l.layer, l.requests_per_sec, l.p50_us, l.p99_us, l.hit_rate
+    let mut out = String::new();
+    json::object(&mut out, |o| {
+        o.field("experiment", "obs-overhead")
+            .field("requests", r.config.requests)
+            .field("clients", r.config.clients)
+            .field("corpus_size", r.config.corpus_size)
+            .field("seed", r.config.seed)
+            .field("repeats", r.config.repeats)
+            .field("wallclock_delta_pct", Fixed(r.histogram_overhead_pct, 2))
+            .array("paired_deltas_pct", |a| {
+                for d in &r.paired_deltas_pct {
+                    a.item(Fixed(*d, 2));
+                }
+            })
+            .field(
+                "record_cost_ns_per_request",
+                Fixed(r.record_cost_ns_per_request, 1),
             )
-        })
-        .collect();
-    let deltas: Vec<String> = r
-        .paired_deltas_pct
-        .iter()
-        .map(|d| format!("{d:.2}"))
-        .collect();
-    format!(
-        "{{\n  \"experiment\": \"obs-overhead\",\n  \"requests\": {},\n  \"clients\": {},\n  \
-         \"corpus_size\": {},\n  \"seed\": {},\n  \"repeats\": {},\n  \
-         \"wallclock_delta_pct\": {:.2},\n  \"paired_deltas_pct\": [{}],\n  \
-         \"record_cost_ns_per_request\": {:.1},\n  \"direct_overhead_pct\": {:.3},\n  \
-         \"gate_pct\": {},\n  \"gate_applied\": {},\n  \
-         \"access_log_lines\": {},\n  \"layers\": [\n{}\n  ]\n}}\n",
-        r.config.requests,
-        r.config.clients,
-        r.config.corpus_size,
-        r.config.seed,
-        r.config.repeats,
-        r.histogram_overhead_pct,
-        deltas.join(", "),
-        r.record_cost_ns_per_request,
-        r.direct_overhead_pct,
-        r.gate_pct,
-        r.gate_applied,
-        r.access_log_lines,
-        layers.join(",\n"),
-    )
+            .field("direct_overhead_pct", Fixed(r.direct_overhead_pct, 3))
+            .field("gate_pct", r.gate_pct)
+            .field("gate_applied", r.gate_applied)
+            .field("access_log_lines", r.access_log_lines)
+            .array("layers", |a| {
+                for l in &r.layers {
+                    a.object(|o| {
+                        o.field("layer", l.layer)
+                            .field("requests_per_sec", Fixed(l.requests_per_sec, 1))
+                            .field("p50_us", l.p50_us)
+                            .field("p99_us", l.p99_us)
+                            .field("hit_rate", Fixed(l.hit_rate, 4));
+                    });
+                }
+            });
+    });
+    out
 }
 
 #[cfg(test)]

@@ -14,6 +14,7 @@
 use crate::experiments::{benchmark_sessions, short_name};
 use crate::fleet::{generator_named, FLEET_ARCHES, FLEET_GENERATORS};
 use hcg_kernels::CodeLibrary;
+use hcg_obs::json;
 use hcg_vm::{profile, Compiler, CostModel, CycleProfile};
 
 /// One profiled cell of the `model × generator × arch` matrix.
@@ -60,13 +61,62 @@ pub fn profile_matrix(filter: Option<&str>) -> Vec<ProfileEntry> {
 }
 
 /// Deterministic JSON over a profiled matrix: one object per cell, in
-/// matrix order, each the profile's own stable rendering.
+/// matrix order, each rendered as [`cycle_profile_json`] renders it.
 pub fn profile_json(entries: &[ProfileEntry]) -> String {
-    let cells: Vec<String> = entries.iter().map(|e| e.profile.to_json()).collect();
-    format!(
-        "{{\n  \"experiment\": \"profile\",\n  \"compiler\": \"gcc\",\n  \"entries\": [{}]\n}}\n",
-        cells.join(", ")
-    )
+    let mut out = String::new();
+    json::object(&mut out, |o| {
+        o.field("experiment", "profile")
+            .field("compiler", "gcc")
+            .array("entries", |a| {
+                for e in entries {
+                    a.object(|o| write_cycle_profile(o, &e.profile));
+                }
+            });
+    });
+    out
+}
+
+/// One profile as a deterministic JSON object (sorted structure, no
+/// timestamps).
+pub fn cycle_profile_json(p: &CycleProfile) -> String {
+    let mut out = String::new();
+    json::object(&mut out, |o| write_cycle_profile(o, p));
+    out
+}
+
+fn write_cycle_profile(o: &mut json::Object<'_>, p: &CycleProfile) {
+    o.field("model", &p.model)
+        .field("generator", &p.generator)
+        .field("arch", p.arch.to_string())
+        .field("compiler", p.compiler.to_string())
+        .field("total_cycles", p.total_cycles)
+        .array("actors", |a| {
+            for actor in &p.actors {
+                a.object(|o| {
+                    o.field("actor", &actor.label)
+                        .field("cycles", actor.cycles)
+                        .field("stmts", actor.stmts);
+                });
+            }
+        })
+        .array("regions", |a| {
+            for r in &p.regions {
+                a.object(|o| {
+                    o.field("index", r.index)
+                        .field("actor", &r.actor)
+                        .field("cycles", r.cycles);
+                });
+            }
+        })
+        .array("instrs", |a| {
+            for i in &p.instrs {
+                a.object(|o| {
+                    o.field("name", &i.name)
+                        .field("count", i.count)
+                        .field("cycles", i.cycles);
+                });
+            }
+        });
 }
 
 #[cfg(test)]
@@ -123,5 +173,16 @@ mod tests {
         let json = profile_json(&entries);
         assert!(hcg_obs::json::validate(&json).is_ok(), "{json}");
         assert_eq!(json, profile_json(&profile_matrix(Some("FIR"))));
+        assert!(cycle_profile_json(&entries[0].profile).contains("\"total_cycles\""));
+        let one_instr = CycleProfile {
+            instrs: vec![hcg_vm::InstrCycles {
+                name: "vmlaq_s32".to_owned(),
+                count: 2,
+                cycles: 4,
+            }],
+            ..entries[0].profile.clone()
+        };
+        assert!(cycle_profile_json(&one_instr)
+            .contains("\"instrs\": [{\"name\": \"vmlaq_s32\", \"count\": 2, \"cycles\": 4}]"));
     }
 }

@@ -8,10 +8,8 @@
 //!    [`CALIBRATION_FUSED_LATENCY`] extra cycles on fused (≥ 3-source)
 //!    SIMD ops, modelling an in-order core serialising a
 //!    multiply-accumulate on its accumulator chain;
-//! 2. feed the per-instruction evidence into
-//!    [`hcg_isa::CostCalibrator`] (through the profiles' own JSON, the
-//!    same bytes `BENCH_profile.json` commits) and derive the calibrated
-//!    cost overlay;
+//! 2. record each profile's per-instruction issue counts and cycles in
+//!    [`hcg_isa::CostCalibrator`] and derive the calibrated cost overlay;
 //! 3. re-map every benchmark with [`MappingStrategy::Beam`] over the
 //!    overlaid instruction set and compare modeled total cycles — the
 //!    beam splits fusions the calibrated table now prices above their
@@ -34,6 +32,7 @@ use hcg_fuzz::oracle::random_inputs;
 use hcg_isa::{sets, Arch, CostCalibrator, CostOverlay};
 use hcg_kernels::CodeLibrary;
 use hcg_model::library;
+use hcg_obs::json;
 use hcg_vm::{profile, Compiler, CostModel, Machine};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -150,9 +149,7 @@ fn hcg_with(mapping: MappingStrategy, overlay: Option<CostOverlay>) -> HcgGen {
 }
 
 /// Profile every greedy-mapped benchmark on the calibration platform and
-/// derive the cost overlay — step 1–2 of the loop. Ingestion goes through
-/// the profiles' JSON rendering, exercising the same path a user feeding
-/// committed `BENCH_profile.json` files back in would take.
+/// derive the cost overlay — step 1–2 of the loop.
 fn calibrate_from_greedy(models: &[hcg_model::Model], fused_latency: u64) -> CostOverlay {
     let lib = CodeLibrary::new();
     let greedy = hcg_with(MappingStrategy::Greedy, None);
@@ -163,10 +160,11 @@ fn calibrate_from_greedy(models: &[hcg_model::Model], fused_latency: u64) -> Cos
                 .generate(model, arch)
                 .unwrap_or_else(|e| panic!("greedy {} on {arch}: {e}", model.name));
             let cm = CostModel::new(arch, Compiler::GccLike).with_fused_latency(fused_latency);
-            let json = profile(&prog, &lib, &cm).to_json();
-            calibrator
-                .ingest_profile_json(&json)
-                .unwrap_or_else(|e| panic!("calibration ingest for {}: {e}", model.name));
+            for i in profile(&prog, &lib, &cm).instrs {
+                if i.count > 0 {
+                    calibrator.record(arch, &i.name, i.count, i.cycles);
+                }
+            }
         }
     }
     calibrator.overlay()
@@ -323,49 +321,48 @@ fn runs_equivalent(
 
 /// Deterministic JSON rendering of a search report.
 pub fn search_json(report: &SearchReport) -> String {
-    let overlay: Vec<String> = report
-        .overlay
-        .iter()
-        .map(|d| {
-            format!(
-                "{{\"arch\": \"{}\", \"name\": \"{}\", \"table_cost\": {}, \"calibrated_cost\": {}}}",
-                d.arch, d.name, d.table_cost, d.calibrated_cost
-            )
-        })
-        .collect();
-    let rows: Vec<String> = report
-        .rows
-        .iter()
-        .map(|r| {
-            format!(
-                "{{\"model\": \"{}\", \"arch\": \"{}\", \"greedy_cycles\": {}, \"beam_cycles\": {}, \"improved\": {}}}",
-                r.model,
-                r.arch,
-                r.greedy_cycles,
-                r.beam_cycles,
-                r.improved()
-            )
-        })
-        .collect();
-    let better: Vec<String> = report
-        .strictly_better()
-        .iter()
-        .map(|s| format!("\"{s}\""))
-        .collect();
-    format!(
-        "{{\n  \"experiment\": \"search\",\n  \"beam_width\": {},\n  \"calibrated\": {},\n  \"fused_latency\": {},\n  \"overlay\": [{}],\n  \"rows\": [{}],\n  \"beam_strictly_better\": [{}],\n  \"gate\": {{\"cases\": {}, \"programs\": {}, \"proved\": {}, \"equivalence_failures\": {}, \"all_proved\": {}}}\n}}\n",
-        report.beam_width,
-        report.calibrated,
-        report.fused_latency,
-        overlay.join(", "),
-        rows.join(", "),
-        better.join(", "),
-        report.gate.cases,
-        report.gate.programs,
-        report.gate.proved,
-        report.gate.equivalence_failures,
-        report.gate.all_proved()
-    )
+    let mut out = String::new();
+    json::object(&mut out, |o| {
+        o.field("experiment", "search")
+            .field("beam_width", report.beam_width)
+            .field("calibrated", report.calibrated)
+            .field("fused_latency", report.fused_latency)
+            .array("overlay", |a| {
+                for d in &report.overlay {
+                    a.object(|o| {
+                        o.field("arch", d.arch.to_string())
+                            .field("name", &d.name)
+                            .field("table_cost", d.table_cost)
+                            .field("calibrated_cost", d.calibrated_cost);
+                    });
+                }
+            })
+            .array("rows", |a| {
+                for r in &report.rows {
+                    a.object(|o| {
+                        o.field("model", &r.model)
+                            .field("arch", r.arch.to_string())
+                            .field("greedy_cycles", r.greedy_cycles)
+                            .field("beam_cycles", r.beam_cycles)
+                            .field("improved", r.improved());
+                    });
+                }
+            })
+            .array("beam_strictly_better", |a| {
+                for label in report.strictly_better() {
+                    a.item(label);
+                }
+            })
+            .object("gate", |o| {
+                let g = &report.gate;
+                o.field("cases", g.cases)
+                    .field("programs", g.programs)
+                    .field("proved", g.proved)
+                    .field("equivalence_failures", g.equivalence_failures)
+                    .field("all_proved", g.all_proved());
+            });
+    });
+    out
 }
 
 /// Render the report as the repro binary's text table.

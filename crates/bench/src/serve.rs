@@ -66,25 +66,18 @@ pub struct ServeBenchReport {
     pub hits: u64,
     /// Artifact-cache misses.
     pub misses: u64,
-    /// Requests that joined an in-flight compile.
-    pub joins: u64,
     /// Compiles the daemon actually executed.
     pub compiles: u64,
-    /// Artifacts evicted during the run.
-    pub evicted: u64,
-    /// Front-end sessions reused across option mixes.
-    pub session_hits: u64,
     /// Wall-clock seconds for the whole replay.
     pub elapsed_s: f64,
     /// End-to-end request latency percentiles, microseconds.
     pub p50_us: u64,
     /// 99th-percentile latency, microseconds.
     pub p99_us: u64,
-    /// Whether every response body matched the direct compile.
+    /// Whether every response body matched the direct compile (a 422
+    /// matches when the direct compile fails with the same error — a fuzz
+    /// corpus may legitimately contain uncompilable models).
     pub identical: bool,
-    /// Responses that were compile failures (422); counted, not fatal —
-    /// a fuzz corpus may legitimately contain uncompilable models.
-    pub failures: usize,
 }
 
 impl ServeBenchReport {
@@ -228,20 +221,14 @@ pub fn run_serve_bench(config: &ServeBenchConfig) -> ServeBenchReport {
     let mut expected: std::collections::HashMap<(u32, u8), Result<String, String>> =
         std::collections::HashMap::new();
     let mut identical = true;
-    let mut failures = 0usize;
     for obs in &observations {
         let want = expected.entry((obs.model, obs.opt)).or_insert_with(|| {
             direct_compile(&corpus[obs.model as usize], OPTION_MIX[obs.opt as usize])
         });
-        match want {
-            Ok(body) => {
-                identical &= obs.status == 200 && obs.body == *body;
-            }
-            Err(error) => {
-                failures += 1;
-                identical &= obs.status == 422 && obs.body == *error;
-            }
-        }
+        identical &= match want {
+            Ok(body) => obs.status == 200 && obs.body == *body,
+            Err(error) => obs.status == 422 && obs.body == *error,
+        };
     }
     let distinct_keys = expected.len();
 
@@ -266,15 +253,11 @@ pub fn run_serve_bench(config: &ServeBenchConfig) -> ServeBenchReport {
         distinct_keys,
         hits: counters.hits.load(Relaxed),
         misses: counters.misses.load(Relaxed),
-        joins: counters.joins.load(Relaxed),
         compiles: counters.compiles.load(Relaxed),
-        evicted: counters.evicted.load(Relaxed),
-        session_hits: counters.session_hits.load(Relaxed),
         elapsed_s,
         p50_us: pct(0.50),
         p99_us: pct(0.99),
         identical,
-        failures,
     };
     handle.shutdown();
     report

@@ -6,12 +6,20 @@
 //! with its name, not downstream in whatever tool ingests the file.
 
 use hcg_bench::{
-    obs_bench_json, profile_json, profile_matrix, run_search, search_json, ObsBenchConfig,
-    ObsBenchReport, ObsLayerResult,
+    cycle_profile_json, incremental_json, obs_bench_json, profile_json, profile_matrix,
+    run_incremental_bench, run_search, search_json, verify_json, IncrementalBenchConfig,
+    ObsBenchConfig, ObsBenchReport, ObsLayerResult, VerifyRow,
 };
-use hcg_fuzz::{run_fuzz, FuzzConfig};
+use hcg_core::{CodeGenerator, HcgGen};
+use hcg_fuzz::{run_fuzz, Divergence, FailureSummary, FuzzConfig, ShrinkStats, VerifyVerdict};
+use hcg_isa::Arch;
 use hcg_obs::{Histogram, MetricsSnapshot, SpanEvent};
 use hcg_serve::{client, spawn, RequestRecord, ServeConfig};
+
+/// Text with every character class a JSON string must escape: a
+/// multi-line panic message, a tab, a raw control byte, a quote and a
+/// backslash.
+const NASTY: &str = "assertion `left == right` failed\n  left: \"a\\b\"\n\tright: \u{1}";
 
 /// A trace event with every field exercised (escaping, ids, parents).
 fn span_event() -> SpanEvent {
@@ -56,6 +64,20 @@ fn obs_report() -> ObsBenchReport {
     }
 }
 
+/// One real verify row: the fig. 2 model under HCG on NEON.
+fn verify_rows() -> Vec<VerifyRow> {
+    let model = hcg_model::library::fig2_model();
+    let gen = HcgGen::new();
+    let prog = gen.generate(&model, Arch::Neon128).unwrap();
+    vec![VerifyRow {
+        model: model.name.clone(),
+        generator: gen.name(),
+        arch: Arch::Neon128,
+        outcome: hcg_verify::verify_program(&model, &prog).unwrap(),
+        range_findings: hcg_verify::range_lint(&prog).diagnostics.len(),
+    }]
+}
+
 #[test]
 fn every_json_artifact_validates() {
     let mut artifacts: Vec<(&str, String)> = Vec::new();
@@ -63,15 +85,43 @@ fn every_json_artifact_validates() {
     // Bench reports.
     artifacts.push(("obs-bench report", obs_bench_json(&obs_report())));
     artifacts.push(("search report", search_json(&run_search(2, false, 1, 2))));
+    let edit_once = IncrementalBenchConfig { edits: 1, seed: 0 };
+    let incremental = run_incremental_bench(&edit_once);
+    artifacts.push((
+        "incremental report",
+        incremental_json(&edit_once, &incremental),
+    ));
+    artifacts.push(("verify report", verify_json(&verify_rows(), false)));
     let profiled = profile_matrix(Some("fir"));
     artifacts.push(("profile matrix", profile_json(&profiled)));
+    let mut region_profile = profiled.first().expect("fir profiles").profile.clone();
+    artifacts.push(("vm region profile", cycle_profile_json(&region_profile)));
+    region_profile.actors[0].label = "gain \"g\"\nrow 2".to_owned();
     artifacts.push((
-        "vm region profile",
-        profiled.first().expect("fir profiles").profile.to_json(),
+        "vm region profile (quoted multi-line actor)",
+        cycle_profile_json(&region_profile),
     ));
     let fuzz = run_fuzz(&FuzzConfig::new(5, 3));
     artifacts.push(("fuzz report (deterministic)", fuzz.deterministic_json()));
     artifacts.push(("fuzz report (full)", fuzz.to_json()));
+    // A panicking job's message spans lines; the verifier witness may too.
+    let mut failing = fuzz.clone();
+    failing.failures.push(FailureSummary {
+        seed: 9,
+        divergences: vec![Divergence {
+            check: "panic",
+            detail: NASTY.to_owned(),
+        }],
+        shrink: ShrinkStats::default(),
+        repro: None,
+        verify: vec![VerifyVerdict {
+            generator: "hcg",
+            arch: "neon128".to_owned(),
+            verdict: "divergent".to_owned(),
+            witness: Some(NASTY.to_owned()),
+        }],
+    });
+    artifacts.push(("fuzz report (failing job)", failing.to_json()));
 
     // Telemetry exports.
     artifacts.push((
@@ -141,5 +191,5 @@ fn every_json_artifact_validates() {
         failures.join("\n\n")
     );
     // The table must actually have covered the live endpoints.
-    assert!(artifacts.len() >= 15, "artifact table shrank unexpectedly");
+    assert!(artifacts.len() >= 19, "artifact table shrank unexpectedly");
 }

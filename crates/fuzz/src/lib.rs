@@ -180,12 +180,7 @@ pub fn run_fuzz(cfg: &FuzzConfig) -> FuzzReport {
                         check: "panic",
                         detail: panic.to_string(),
                     }],
-                    shrink: ShrinkStats {
-                        attempts: 0,
-                        accepted: 0,
-                        initial_actors: 0,
-                        final_actors: 0,
-                    },
+                    shrink: ShrinkStats::default(),
                     repro: None,
                     verify: Vec::new(),
                 });

@@ -9,6 +9,7 @@
 
 use crate::oracle::Divergence;
 use crate::shrink::ShrinkStats;
+use hcg_obs::json::{self, Fixed};
 use std::time::Duration;
 
 /// Static-verifier verdict for one generator × architecture program of a
@@ -104,80 +105,71 @@ impl FuzzReport {
     /// The seed-determined fields only — two runs with the same seed and
     /// config must render this identically.
     pub fn deterministic_json(&self) -> String {
-        let failures: Vec<String> = self
-            .failures
-            .iter()
-            .map(|f| {
-                let divs: Vec<String> = f
-                    .divergences
-                    .iter()
-                    .map(|d| {
-                        format!(
-                            "{{\"check\": \"{}\", \"detail\": \"{}\"}}",
-                            escape(d.check),
-                            escape(&d.detail)
-                        )
-                    })
-                    .collect();
-                let verify: Vec<String> = f
-                    .verify
-                    .iter()
-                    .map(|v| {
-                        let witness = match &v.witness {
-                            Some(w) => format!(", \"witness\": \"{}\"", escape(w)),
-                            None => String::new(),
-                        };
-                        format!(
-                            "{{\"generator\": \"{}\", \"arch\": \"{}\", \"verdict\": \"{}\"{}}}",
-                            escape(v.generator),
-                            escape(&v.arch),
-                            escape(&v.verdict),
-                            witness
-                        )
-                    })
-                    .collect();
-                format!(
-                    "{{\"seed\": {}, \"divergences\": [{}], \"shrink\": {{\"attempts\": {}, \"accepted\": {}, \"initial_actors\": {}, \"final_actors\": {}}}, \"verify\": [{}]}}",
-                    f.seed,
-                    divs.join(", "),
-                    f.shrink.attempts,
-                    f.shrink.accepted,
-                    f.shrink.initial_actors,
-                    f.shrink.final_actors,
-                    verify.join(", ")
-                )
-            })
-            .collect();
-        format!(
-            "{{\"seed\": {}, \"iters\": {}, \"passed\": {}, \"divergences\": {}, \"shrink_steps\": {}, \"cases_digest\": \"{:016x}\", \"total_actors\": {}, \"corpus_replayed\": {}, \"failures\": [{}]}}",
-            self.seed,
-            self.iters,
-            self.passed,
-            self.divergence_count(),
-            self.shrink_steps(),
-            self.cases_digest,
-            self.total_actors,
-            self.corpus_replayed,
-            failures.join(", ")
-        )
+        let mut out = String::new();
+        json::object(&mut out, |o| self.write_deterministic(o));
+        out
+    }
+
+    fn write_deterministic(&self, o: &mut json::Object<'_>) {
+        o.field("seed", self.seed)
+            .field("iters", self.iters)
+            .field("passed", self.passed)
+            .field("divergences", self.divergence_count())
+            .field("shrink_steps", self.shrink_steps())
+            .field("cases_digest", format!("{:016x}", self.cases_digest))
+            .field("total_actors", self.total_actors)
+            .field("corpus_replayed", self.corpus_replayed)
+            .array("failures", |a| {
+                for f in &self.failures {
+                    a.object(|o| f.write_json(o));
+                }
+            });
     }
 
     /// The full report: the deterministic core plus timing telemetry (the
     /// shared [`hcg_obs::MetricsSnapshot`] JSON schema).
     pub fn to_json(&self) -> String {
-        format!(
-            "{{\"deterministic\": {}, \"threads\": {}, \"elapsed_seconds\": {:.6}, \"cases_per_sec\": {:.2}, \"telemetry\": {}}}",
-            self.deterministic_json(),
-            self.threads,
-            self.elapsed.as_secs_f64(),
-            self.cases_per_sec(),
-            self.telemetry.to_json()
-        )
+        let mut out = String::new();
+        json::object(&mut out, |o| {
+            o.object("deterministic", |o| self.write_deterministic(o))
+                .field("threads", self.threads)
+                .field("elapsed_seconds", Fixed(self.elapsed.as_secs_f64(), 6))
+                .field("cases_per_sec", Fixed(self.cases_per_sec(), 2))
+                .field("telemetry", &self.telemetry);
+        });
+        out
     }
 }
 
-fn escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
+impl FailureSummary {
+    fn write_json(&self, o: &mut json::Object<'_>) {
+        o.field("seed", self.seed)
+            .array("divergences", |a| {
+                for d in &self.divergences {
+                    a.object(|o| {
+                        o.field("check", d.check).field("detail", &d.detail);
+                    });
+                }
+            })
+            .object("shrink", |o| {
+                o.field("attempts", self.shrink.attempts)
+                    .field("accepted", self.shrink.accepted)
+                    .field("initial_actors", self.shrink.initial_actors)
+                    .field("final_actors", self.shrink.final_actors);
+            })
+            .array("verify", |a| {
+                for v in &self.verify {
+                    a.object(|o| {
+                        o.field("generator", v.generator)
+                            .field("arch", &v.arch)
+                            .field("verdict", &v.verdict);
+                        if let Some(w) = &v.witness {
+                            o.field("witness", w);
+                        }
+                    });
+                }
+            });
+    }
 }
 
 #[cfg(test)]

@@ -15,7 +15,7 @@ use hcg_model::{ActorId, ActorKind, Model, ModelBuilder, Param, PortRef};
 use std::collections::BTreeMap;
 
 /// Counters describing one shrink run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ShrinkStats {
     /// Candidate reductions tried (including rejected ones).
     pub attempts: usize,

@@ -5,12 +5,11 @@
 //! *actually* costs under a concrete platform model — including effects
 //! the static table cannot see, such as the extra latency an in-order
 //! core pays on a fused multiply-accumulate's accumulator chain. A
-//! [`CostCalibrator`] ingests that per-instruction evidence (either
-//! programmatically via [`CostCalibrator::record`] or from `CycleProfile`
-//! JSON via [`CostCalibrator::ingest_profile_json`]) and produces a
-//! [`CostOverlay`]: a per-architecture map of calibrated per-issue costs
-//! that [`CostOverlay::apply`] patches over an [`InstrSet`] before the
-//! mapping stage runs.
+//! [`CostCalibrator`] takes that per-instruction evidence through
+//! [`CostCalibrator::record`] and produces a [`CostOverlay`]: a
+//! per-architecture map of calibrated per-issue costs that
+//! [`CostOverlay::apply`] patches over an [`InstrSet`] before the mapping
+//! stage runs.
 //!
 //! This closes the loop the paper leaves open: profile the greedy
 //! program, calibrate the table, re-map with the beam search
@@ -24,7 +23,6 @@
 use crate::arch::Arch;
 use crate::instr::InstrSet;
 use std::collections::BTreeMap;
-use std::fmt;
 
 /// Calibrated per-issue costs, keyed by (architecture, instruction name).
 ///
@@ -113,27 +111,6 @@ struct Observation {
     cycles: u64,
 }
 
-/// Error ingesting `CycleProfile` JSON.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum CalibrateError {
-    /// A structural marker (`"arch"`, `"instrs"`) was present but its
-    /// value could not be read.
-    Malformed(&'static str),
-    /// The profile names an architecture this crate does not know.
-    UnknownArch(String),
-}
-
-impl fmt::Display for CalibrateError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            CalibrateError::Malformed(what) => write!(f, "malformed profile JSON: {what}"),
-            CalibrateError::UnknownArch(a) => write!(f, "unknown architecture {a:?} in profile"),
-        }
-    }
-}
-
-impl std::error::Error for CalibrateError {}
-
 /// Aggregates per-instruction cycle observations and derives a
 /// [`CostOverlay`] (observed per-issue cost = `ceil(cycles / count)`).
 ///
@@ -181,60 +158,6 @@ impl CostCalibrator {
         self.observed.is_empty()
     }
 
-    /// Ingest the per-instruction stats of `CycleProfile` JSON (a single
-    /// profile object or a whole `repro -- profile` report — every
-    /// `"arch"`/`"instrs"` pair found is consumed). Returns the number of
-    /// instruction records ingested.
-    ///
-    /// The reader is a purpose-built scanner over the profiler's own
-    /// deterministic rendering, not a general JSON parser — the repo
-    /// vendors no serde, and the profiler's output shape is pinned by
-    /// tests.
-    ///
-    /// # Errors
-    ///
-    /// [`CalibrateError`] when an `"arch"` value is unknown or a marker is
-    /// unterminated.
-    pub fn ingest_profile_json(&mut self, json: &str) -> Result<usize, CalibrateError> {
-        const ARCH_KEY: &str = "\"arch\": \"";
-        const INSTRS_KEY: &str = "\"instrs\": [";
-        let mut ingested = 0usize;
-        let mut rest = json;
-        while let Some(at) = rest.find(ARCH_KEY) {
-            let after = &rest[at + ARCH_KEY.len()..];
-            let end = after
-                .find('"')
-                .ok_or(CalibrateError::Malformed("unterminated arch string"))?;
-            let arch: Arch = after[..end]
-                .parse()
-                .map_err(|_| CalibrateError::UnknownArch(after[..end].to_owned()))?;
-            // This profile object's instrs block: between here and the
-            // next profile's "arch" key (profiles render instrs last).
-            let scope_end = after.find(ARCH_KEY).unwrap_or(after.len());
-            let scope = &after[..scope_end];
-            if let Some(i) = scope.find(INSTRS_KEY) {
-                let block = &scope[i + INSTRS_KEY.len()..];
-                let close = block
-                    .find(']')
-                    .ok_or(CalibrateError::Malformed("unterminated instrs array"))?;
-                for obj in block[..close].split('{').skip(1) {
-                    let name = scan_str(obj, "\"name\": \"")
-                        .ok_or(CalibrateError::Malformed("instr without name"))?;
-                    let count = scan_num(obj, "\"count\": ")
-                        .ok_or(CalibrateError::Malformed("instr without count"))?;
-                    let cycles = scan_num(obj, "\"cycles\": ")
-                        .ok_or(CalibrateError::Malformed("instr without cycles"))?;
-                    if count > 0 {
-                        self.record(arch, name, count, cycles);
-                        ingested += 1;
-                    }
-                }
-            }
-            rest = &rest[at + ARCH_KEY.len() + end..];
-        }
-        Ok(ingested)
-    }
-
     /// Derive the calibrated overlay: for every observed instruction, the
     /// per-issue cost rounded up (`ceil(cycles / count)`, floor 1).
     pub fn overlay(&self) -> CostOverlay {
@@ -248,21 +171,6 @@ impl CostCalibrator {
         }
         out
     }
-}
-
-fn scan_str<'a>(hay: &'a str, key: &str) -> Option<&'a str> {
-    let at = hay.find(key)? + key.len();
-    let end = hay[at..].find('"')?;
-    Some(&hay[at..at + end])
-}
-
-fn scan_num(hay: &str, key: &str) -> Option<u64> {
-    let at = hay.find(key)? + key.len();
-    let digits: String = hay[at..]
-        .chars()
-        .take_while(|c| c.is_ascii_digit())
-        .collect();
-    digits.parse().ok()
 }
 
 #[cfg(test)]
@@ -301,42 +209,5 @@ mod tests {
         // Zero-count observations never produce an entry.
         cal.record(Arch::Avx256, "ghost", 0, 10);
         assert_eq!(cal.overlay().cost(Arch::Avx256, "ghost"), None);
-    }
-
-    #[test]
-    fn ingest_reads_profile_json() {
-        let json = concat!(
-            "{\"model\": \"FIR_1024t4\", \"generator\": \"hcg\", \"arch\": \"neon128\", ",
-            "\"compiler\": \"gcc\", \"total_cycles\": 9, \"actors\": [",
-            "{\"actor\": \"m1\", \"cycles\": 9, \"stmts\": 1}], \"regions\": [], ",
-            "\"instrs\": [{\"name\": \"vmlaq_s32\", \"count\": 256, \"cycles\": 1024}, ",
-            "{\"name\": \"vmulq_s32\", \"count\": 256, \"cycles\": 256}]}"
-        );
-        let mut cal = CostCalibrator::new();
-        assert_eq!(cal.ingest_profile_json(json).unwrap(), 2);
-        let ov = cal.overlay();
-        assert_eq!(ov.cost(Arch::Neon128, "vmlaq_s32"), Some(4));
-        assert_eq!(ov.cost(Arch::Neon128, "vmulq_s32"), Some(1));
-        // Ingesting a report with two profile objects scopes each instrs
-        // block to its own arch.
-        let two = format!("{json}, {}", json.replace("neon128", "avx256"));
-        let mut cal2 = CostCalibrator::new();
-        assert_eq!(cal2.ingest_profile_json(&two).unwrap(), 4);
-        assert_eq!(cal2.overlay().cost(Arch::Avx256, "vmlaq_s32"), Some(4));
-    }
-
-    #[test]
-    fn ingest_rejects_unknown_arch_and_tolerates_no_instrs() {
-        let mut cal = CostCalibrator::new();
-        let err = cal
-            .ingest_profile_json("{\"arch\": \"mips64\", \"instrs\": []}")
-            .unwrap_err();
-        assert!(matches!(err, CalibrateError::UnknownArch(_)), "{err}");
-        // A profile without an instrs key ingests zero records.
-        assert_eq!(
-            cal.ingest_profile_json("{\"arch\": \"neon128\", \"total_cycles\": 3}")
-                .unwrap(),
-            0
-        );
     }
 }

@@ -32,7 +32,7 @@ pub mod parse;
 pub mod sets;
 
 pub use arch::{Arch, ParseArchError};
-pub use calibrate::{CalibrateError, CostCalibrator, CostOverlay};
+pub use calibrate::{CostCalibrator, CostOverlay};
 pub use index::{GraphBounds, InstrIndex};
 pub use instr::{InstrSet, SimdInstr};
 pub use parse::ParseIsaError;

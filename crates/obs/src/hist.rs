@@ -9,6 +9,7 @@
 //! ([`HistogramSnapshot`]) are plain data: quantile-estimating and
 //! rendered as stable JSON or Prometheus text.
 
+use crate::json::{self, Value};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Number of buckets: one for zero plus one per possible bit length.
@@ -163,20 +164,29 @@ impl HistogramSnapshot {
     /// non-empty buckets as `{"le": upper, "n": count}` records in
     /// ascending bound order.
     pub fn to_json(&self) -> String {
-        let buckets: Vec<String> = self
-            .nonzero_buckets()
-            .map(|(le, n)| format!("{{\"le\": {le}, \"n\": {n}}}"))
-            .collect();
-        format!(
-            "{{\"count\": {}, \"sum\": {}, \"mean\": {:.1}, \"p50\": {}, \"p90\": {}, \"p99\": {}, \"buckets\": [{}]}}",
-            self.count,
-            self.sum,
-            self.mean(),
-            self.quantile(0.50),
-            self.quantile(0.90),
-            self.quantile(0.99),
-            buckets.join(", ")
-        )
+        let mut out = String::new();
+        self.write_json(&mut out);
+        out
+    }
+}
+
+impl Value for HistogramSnapshot {
+    fn write_json(&self, out: &mut String) {
+        json::object(out, |o| {
+            o.field("count", self.count)
+                .field("sum", self.sum)
+                .field("mean", json::Fixed(self.mean(), 1))
+                .field("p50", self.quantile(0.50))
+                .field("p90", self.quantile(0.90))
+                .field("p99", self.quantile(0.99))
+                .array("buckets", |a| {
+                    for (le, n) in self.nonzero_buckets() {
+                        a.object(|b| {
+                            b.field("le", le).field("n", n);
+                        });
+                    }
+                });
+        });
     }
 }
 

@@ -18,8 +18,9 @@
 //! * [`chrome_trace_json`] — Chrome trace-event JSON loadable by
 //!   `chrome://tracing` and Perfetto; [`render_tree`] is the compact text
 //!   alternative.
-//! * [`json::validate`] — a tiny JSON well-formedness checker so emitters
-//!   can assert their reports parse without pulling in a JSON crate.
+//! * [`json`] — the one JSON writer every report, trace and telemetry
+//!   document goes through ([`json::object`]), and [`json::validate`], a
+//!   tiny well-formedness checker, so neither needs a JSON crate.
 //!
 //! Instrumentation is opt-in: spans cost one relaxed atomic load while
 //! tracing is disabled ([`set_tracing`]), and no instrumented code path ever

@@ -2,6 +2,7 @@
 //! histogram snapshots with stable sorted-key JSON output.
 
 use crate::hist::HistogramSnapshot;
+use crate::json::{self, Value};
 use std::collections::BTreeMap;
 
 /// One metric value: a monotonic counter or a last-write-wins gauge.
@@ -13,15 +14,13 @@ pub enum MetricValue {
     Gauge(f64),
 }
 
-impl MetricValue {
-    /// Render as a JSON number (counters as integers, gauges via `f64`
-    /// shortest-round-trip formatting — stable for a given value).
-    fn to_json(self) -> String {
-        match self {
-            MetricValue::Counter(c) => c.to_string(),
-            MetricValue::Gauge(g) if g.is_finite() => format!("{g}"),
-            // JSON has no NaN/Inf; degrade to null rather than emit garbage.
-            MetricValue::Gauge(_) => "null".to_owned(),
+/// Counters render as integers, gauges in `f64` shortest-round-trip form
+/// (stable for a given value), non-finite gauges as `null`.
+impl Value for MetricValue {
+    fn write_json(&self, out: &mut String) {
+        match *self {
+            MetricValue::Counter(c) => c.write_json(out),
+            MetricValue::Gauge(g) => g.write_json(out),
         }
     }
 }
@@ -73,19 +72,27 @@ impl MetricsSnapshot {
     /// [`HistogramSnapshot::to_json`]); on a name clash the histogram
     /// wins.
     pub fn to_json(&self) -> String {
-        let mut members: BTreeMap<&str, String> = self
+        let mut out = String::new();
+        self.write_json(&mut out);
+        out
+    }
+}
+
+impl Value for MetricsSnapshot {
+    fn write_json(&self, out: &mut String) {
+        let mut members: BTreeMap<&str, &dyn Value> = self
             .values
             .iter()
-            .map(|(k, v)| (k.as_str(), v.to_json()))
+            .map(|(k, v)| (k.as_str(), v as &dyn Value))
             .collect();
         for (k, h) in &self.histograms {
-            members.insert(k.as_str(), h.to_json());
+            members.insert(k.as_str(), h);
         }
-        let members: Vec<String> = members
-            .into_iter()
-            .map(|(k, v)| format!("\"{}\": {}", crate::json::escape(k), v))
-            .collect();
-        format!("{{{}}}", members.join(", "))
+        json::object(out, |o| {
+            for (k, v) in members {
+                o.field(k, v);
+            }
+        });
     }
 }
 

@@ -1,7 +1,7 @@
 //! Trace exporters: Chrome trace-event JSON (loadable in `chrome://tracing`
 //! and Perfetto) and a compact indented text tree.
 
-use crate::json::escape;
+use crate::json;
 use crate::span::SpanEvent;
 
 /// Render events as Chrome trace-event JSON: an object with a
@@ -9,24 +9,25 @@ use crate::span::SpanEvent;
 /// durations in microseconds. Load the file in `chrome://tracing` or
 /// [Perfetto](https://ui.perfetto.dev).
 pub fn chrome_trace_json(events: &[SpanEvent]) -> String {
-    let mut out = String::from("{\"traceEvents\": [");
-    for (i, e) in events.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        out.push_str(&format!(
-            "{{\"name\": \"{}\", \"cat\": \"{}\", \"ph\": \"X\", \"ts\": {}, \"dur\": {}, \"pid\": 1, \"tid\": {}, \
-             \"args\": {{\"trace_id\": {}, \"parent\": {}}}}}",
-            escape(&e.name),
-            escape(e.cat),
-            e.start_us,
-            e.dur_us,
-            e.tid,
-            e.trace_id,
-            e.parent
-        ));
-    }
-    out.push_str("]}");
+    let mut out = String::new();
+    json::object(&mut out, |o| {
+        o.array("traceEvents", |a| {
+            for e in events {
+                a.object(|o| {
+                    o.field("name", &e.name)
+                        .field("cat", e.cat)
+                        .field("ph", "X")
+                        .field("ts", e.start_us)
+                        .field("dur", e.dur_us)
+                        .field("pid", 1u32)
+                        .field("tid", e.tid)
+                        .object("args", |o| {
+                            o.field("trace_id", e.trace_id).field("parent", e.parent);
+                        });
+                });
+            }
+        });
+    });
     out
 }
 

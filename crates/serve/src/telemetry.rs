@@ -155,27 +155,28 @@ impl RequestRecord {
     /// One stable JSON object (also the access-log line format, minus
     /// the stage breakdown which only the flight recorder keeps).
     pub fn to_json(&self, with_stages: bool) -> String {
-        let mut out = format!(
-            "{{\"trace_id\": \"{}\", \"method\": \"{}\", \"path\": \"{}\", \
-             \"key\": \"{}\", \"cache\": \"{}\", \"status\": {}, \"latency_us\": {}",
-            format_trace_id(self.trace_id),
-            json::escape(&self.method),
-            json::escape(&self.path),
-            json::escape(&self.key_prefix),
-            json::escape(&self.cache),
-            self.status,
-            self.latency_us,
-        );
-        if with_stages {
-            let stages: Vec<String> = self
-                .stages
-                .iter()
-                .map(|(name, us)| format!("{{\"stage\": \"{name}\", \"us\": {us}}}"))
-                .collect();
-            out.push_str(&format!(", \"stages\": [{}]", stages.join(", ")));
-        }
-        out.push('}');
+        let mut out = String::new();
+        json::object(&mut out, |o| self.write_fields(o, with_stages));
         out
+    }
+
+    fn write_fields(&self, o: &mut json::Object<'_>, with_stages: bool) {
+        o.field("trace_id", format_trace_id(self.trace_id))
+            .field("method", &self.method)
+            .field("path", &self.path)
+            .field("key", &self.key_prefix)
+            .field("cache", &self.cache)
+            .field("status", self.status)
+            .field("latency_us", self.latency_us);
+        if with_stages {
+            o.array("stages", |a| {
+                for (name, us) in &self.stages {
+                    a.object(|s| {
+                        s.field("stage", *name).field("us", *us);
+                    });
+                }
+            });
+        }
     }
 }
 
@@ -254,12 +255,15 @@ impl FlightRecorder {
 
     /// The ring as a JSON array of request objects with stage timings.
     pub fn to_json(&self) -> String {
-        let records: Vec<String> = self.recent().iter().map(|r| r.to_json(true)).collect();
-        format!(
-            "{{\"capacity\": {}, \"requests\": [{}]}}",
-            self.capacity,
-            records.join(", ")
-        )
+        let mut out = String::new();
+        json::object(&mut out, |o| {
+            o.field("capacity", self.capacity).array("requests", |a| {
+                for r in self.recent() {
+                    a.object(|o| r.write_fields(o, true));
+                }
+            });
+        });
+        out
     }
 }
 

@@ -69,7 +69,7 @@ pub struct CycleProfile {
     /// Per-region attribution, sorted by region index.
     pub regions: Vec<RegionCycles>,
     /// Per-instruction issue counts and cycles, sorted by name — the
-    /// evidence `hcg_isa::CostCalibrator` ingests.
+    /// evidence `hcg_isa::CostCalibrator::record` takes.
     pub instrs: Vec<InstrCycles>,
 }
 
@@ -209,62 +209,6 @@ impl CycleProfile {
         }
         out
     }
-
-    /// Deterministic JSON rendering (sorted structure, no timestamps).
-    pub fn to_json(&self) -> String {
-        fn esc(s: &str) -> String {
-            s.replace('\\', "\\\\").replace('"', "\\\"")
-        }
-        let actors: Vec<String> = self
-            .actors
-            .iter()
-            .map(|a| {
-                format!(
-                    "{{\"actor\": \"{}\", \"cycles\": {}, \"stmts\": {}}}",
-                    esc(&a.label),
-                    a.cycles,
-                    a.stmts
-                )
-            })
-            .collect();
-        let regions: Vec<String> = self
-            .regions
-            .iter()
-            .map(|r| {
-                format!(
-                    "{{\"index\": {}, \"actor\": \"{}\", \"cycles\": {}}}",
-                    r.index,
-                    esc(&r.actor),
-                    r.cycles
-                )
-            })
-            .collect();
-        let instrs: Vec<String> = self
-            .instrs
-            .iter()
-            .map(|i| {
-                format!(
-                    "{{\"name\": \"{}\", \"count\": {}, \"cycles\": {}}}",
-                    esc(&i.name),
-                    i.count,
-                    i.cycles
-                )
-            })
-            .collect();
-        // `instrs` renders last: `CostCalibrator::ingest_profile_json`
-        // scopes each instrs block to the preceding `arch` key.
-        format!(
-            "{{\"model\": \"{}\", \"generator\": \"{}\", \"arch\": \"{}\", \"compiler\": \"{}\", \"total_cycles\": {}, \"actors\": [{}], \"regions\": [{}], \"instrs\": [{}]}}",
-            esc(&self.model),
-            esc(&self.generator),
-            self.arch,
-            self.compiler,
-            self.total_cycles,
-            actors.join(", "),
-            regions.join(", "),
-            instrs.join(", ")
-        )
-    }
 }
 
 #[cfg(test)]
@@ -369,9 +313,6 @@ mod tests {
                 cycles: 4,
             }]
         );
-        assert!(prof
-            .to_json()
-            .contains("\"instrs\": [{\"name\": \"vmlaq_s32\", \"count\": 2, \"cycles\": 4}]"));
         // With fused latency the per-instruction charge tracks vop_cycles.
         let fused = cm.with_fused_latency(3);
         let prof2 = profile(&p, &lib, &fused);
@@ -379,13 +320,11 @@ mod tests {
     }
 
     #[test]
-    fn json_and_render_are_stable() {
+    fn render_is_stable() {
         let p = two_actor_prog();
         let lib = CodeLibrary::new();
         let cm = CostModel::new(Arch::Neon128, Compiler::GccLike);
         let prof = profile(&p, &lib, &cm);
-        assert_eq!(prof.to_json(), profile(&p, &lib, &cm).to_json());
-        assert!(prof.to_json().contains("\"total_cycles\""));
         let table = prof.render(2);
         assert!(table.contains("cycles/step"));
         assert!(table.contains("… 1 more actors"));
