@@ -59,13 +59,6 @@ impl std::error::Error for JobPanic {}
 /// Per-job outcome: the job's value, or the isolated panic.
 pub type JobResult<T> = Result<T, JobPanic>;
 
-/// Counters describing one pool run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct PoolStats {
-    /// Worker threads actually spawned.
-    pub workers: usize,
-}
-
 /// Resolve a requested thread count: `0` means "all available cores",
 /// anything else is taken as-is (callers cap against job count separately).
 pub fn effective_threads(requested: usize) -> usize {
@@ -76,6 +69,12 @@ pub fn effective_threads(requested: usize) -> usize {
     } else {
         requested
     }
+}
+
+/// The workers a run of `n_jobs` jobs spawns for a request of `threads`:
+/// never more than there are jobs, and none for no jobs.
+fn worker_count(threads: usize, n_jobs: usize) -> usize {
+    effective_threads(threads).min(n_jobs)
 }
 
 /// Run `jobs` on a pool of up to `threads` workers and return one
@@ -89,20 +88,8 @@ where
     T: Send,
     F: FnOnce() -> T + Send,
 {
-    run_jobs_with_stats(threads, jobs).0
-}
-
-/// [`run_jobs`], additionally reporting scheduler statistics.
-pub fn run_jobs_with_stats<T, F>(threads: usize, jobs: Vec<F>) -> (Vec<JobResult<T>>, PoolStats)
-where
-    T: Send,
-    F: FnOnce() -> T + Send,
-{
     let n_jobs = jobs.len();
-    if n_jobs == 0 {
-        return (Vec::new(), PoolStats::default());
-    }
-    let workers = effective_threads(threads).clamp(1, n_jobs);
+    let workers = worker_count(threads, n_jobs);
 
     // Job `i` and its result share index `i`; a worker claims an index
     // from `next`, so each job is taken exactly once.
@@ -146,15 +133,14 @@ where
 
     // The scope joined every worker and re-raises a worker's own panic,
     // so each claimed job has reported by now.
-    let results = slots
+    slots
         .into_iter()
         .map(|slot| {
             slot.into_inner()
                 .expect("slot lock poisoned")
                 .expect("every job reports before the workers join")
         })
-        .collect();
-    (results, PoolStats { workers })
+        .collect()
 }
 
 /// Render a panic payload the way the default hook does: `&str` and
@@ -178,9 +164,8 @@ mod tests {
     #[test]
     fn empty_fleet() {
         let jobs: Vec<fn() -> u32> = Vec::new();
-        let (results, stats) = run_jobs_with_stats(4, jobs);
-        assert!(results.is_empty());
-        assert_eq!(stats.workers, 0);
+        assert!(run_jobs(4, jobs).is_empty());
+        assert_eq!(worker_count(4, 0), 0);
     }
 
     #[test]
@@ -196,9 +181,7 @@ mod tests {
 
     #[test]
     fn workers_capped_by_job_count() {
-        let jobs: Vec<_> = (0..2usize).map(|i| move || i).collect();
-        let (_, stats) = run_jobs_with_stats(16, jobs);
-        assert_eq!(stats.workers, 2);
+        assert_eq!(worker_count(16, 2), 2);
     }
 
     #[test]
@@ -289,16 +272,15 @@ mod tests {
         // `threads == 0` resolves to core count, but an empty job list must
         // still spawn nothing at all.
         let jobs: Vec<fn() -> u32> = Vec::new();
-        let (results, stats) = run_jobs_with_stats(0, jobs);
-        assert!(results.is_empty());
-        assert_eq!(stats, PoolStats::default());
+        assert!(run_jobs(0, jobs).is_empty());
+        assert_eq!(worker_count(0, 0), 0);
     }
 
     #[test]
     fn single_thread_keeps_submission_order() {
         let jobs: Vec<_> = (0..50usize).map(|i| move || i + 1).collect();
-        let (results, stats) = run_jobs_with_stats(1, jobs);
-        assert_eq!(stats.workers, 1);
+        assert_eq!(worker_count(1, 50), 1);
+        let results = run_jobs(1, jobs);
         for (i, r) in results.iter().enumerate() {
             assert_eq!(*r.as_ref().unwrap(), i + 1);
         }
@@ -306,10 +288,8 @@ mod tests {
 
     #[test]
     fn single_job_with_huge_thread_request() {
-        // 10 000 requested threads, one job: exactly one worker spawns.
-        let (results, stats) = run_jobs_with_stats(10_000, vec![|| 42u32]);
-        assert_eq!(stats.workers, 1);
-        assert_eq!(*results[0].as_ref().unwrap(), 42);
+        // 10 000 requested threads, one job: the pool spawns one worker.
+        assert_eq!(worker_count(10_000, 1), 1);
     }
 
     #[test]
@@ -318,8 +298,8 @@ mod tests {
         // or dropping result slots.
         for threads in [5, 64, 1000] {
             let jobs: Vec<_> = (0..3usize).map(|i| move || i * 7).collect();
-            let (results, stats) = run_jobs_with_stats(threads, jobs);
-            assert_eq!(stats.workers, 3, "threads={threads}");
+            assert_eq!(worker_count(threads, 3), 3, "threads={threads}");
+            let results = run_jobs(threads, jobs);
             assert_eq!(results.len(), 3);
             for (i, r) in results.iter().enumerate() {
                 assert_eq!(*r.as_ref().unwrap(), i * 7);

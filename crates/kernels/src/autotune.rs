@@ -2,12 +2,18 @@
 //! optimal implementation for an intensive computing actor at its concrete
 //! input scale, with a selection history for quick re-synthesis.
 //!
-//! Pre-calculation keeps the cheapest candidate that runs on a random test
-//! input. Under the deterministic [`Meter::OpCount`] a candidate's cost is
-//! its analytic op count, known before it runs, so candidates are ranked by
-//! cost and run until one works: that one is the selection, and no costlier
-//! candidate executes. Under [`Meter::WallClock`] (the paper's methodology)
-//! cost is only known by running, so every candidate is timed.
+//! Pre-calculation costs every candidate that passes the dtype and size
+//! filters and keeps the first of minimum cost. Under the deterministic
+//! [`Meter::OpCount`] a candidate's cost is its analytic op count, known
+//! before it runs, so nothing executes and no test input is built: the
+//! plan comes from the op model alone, as in FFTW's estimate mode. Under
+//! [`Meter::WallClock`] (the paper's methodology) cost is only known by
+//! running, so a random test input is generated and every candidate is
+//! timed on it; a candidate that fails to run never wins.
+//!
+//! That a kernel runs at every size its filter accepts is a contract of
+//! the library, checked once by `tests/kernel_golden.rs` rather than on
+//! every compile.
 
 use crate::registry::{CodeLibrary, Kernel, KernelError, KernelSize};
 use hcg_model::{ActorKind, DataType, SignalType, Tensor};
@@ -22,13 +28,14 @@ use std::time::Instant;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Meter {
     /// Deterministic analytic operation counts — reproducible across
-    /// machines, used by tests and the default benchmark harness. Known
-    /// before a candidate runs, so candidates run cheapest first until one
-    /// works.
+    /// machines, used by tests and the default benchmark harness. Read from
+    /// each candidate's op model: no candidate runs and no test input is
+    /// generated.
     OpCount,
     /// Wall-clock execution of the implementation on the generated test
     /// input, repeated `reps` times and summed — the paper's methodology.
-    /// Every candidate is timed.
+    /// Every candidate is timed, after one untimed run that rejects a
+    /// candidate that fails.
     WallClock {
         /// Number of timed repetitions.
         reps: u32,
@@ -55,7 +62,8 @@ pub struct Selection {
 pub enum SelectError {
     /// The library has no implementation at all for the actor kind.
     NoImplementation(ActorKind),
-    /// Every candidate failed to execute on the test input.
+    /// No candidate passed the filters, or (under [`Meter::WallClock`])
+    /// every candidate failed to execute on the test input.
     AllFailed {
         /// Actor kind that failed.
         actor: ActorKind,
@@ -89,6 +97,8 @@ pub struct Autotuner {
     /// Cost measurement strategy.
     pub meter: Meter,
     /// Seed for `generateTestInput` (line 10) so runs are reproducible.
+    /// Read only under [`Meter::WallClock`], the one meter that runs
+    /// candidates.
     pub seed: u64,
 }
 
@@ -138,35 +148,25 @@ impl Autotuner {
     /// pre-calculation over the filtered implementation list (lines 7–17),
     /// then `storeSelection` (line 18).
     ///
-    /// Under [`Meter::OpCount`] the candidates are run cheapest first and
-    /// the first that runs wins; under [`Meter::WallClock`] every candidate
-    /// is timed. Both keep the minimum-cost candidate that runs, ties going
-    /// to the kernel earlier in the library list.
+    /// Every filtered candidate is costed by the tuner's [`Meter`] and the
+    /// first of minimum cost wins, ties going to the kernel earlier in the
+    /// library list. Under [`Meter::OpCount`] the cost is the op model and
+    /// nothing runs; under [`Meter::WallClock`] the test input of line 10
+    /// is generated and each candidate is timed on it.
     ///
     /// Returns the chosen kernel and whether it was served from history.
     ///
     /// # Errors
     ///
     /// Returns [`SelectError`] when the library has no implementation for
-    /// the kind or every candidate fails to execute.
+    /// the kind, no candidate passes the filters, or every candidate fails
+    /// to execute.
     pub fn select<'lib>(
         &mut self,
         lib: &'lib CodeLibrary,
         actor: ActorKind,
         dtype: DataType,
         size: &KernelSize,
-    ) -> Result<(&'lib Kernel, bool), SelectError> {
-        let exhaustive = matches!(self.meter, Meter::WallClock { .. });
-        self.select_with(lib, actor, dtype, size, exhaustive)
-    }
-
-    fn select_with<'lib>(
-        &mut self,
-        lib: &'lib CodeLibrary,
-        actor: ActorKind,
-        dtype: DataType,
-        size: &KernelSize,
-        exhaustive: bool,
     ) -> Result<(&'lib Kernel, bool), SelectError> {
         // Lines 3–6: history lookup. A remembered kernel passes the
         // lines 12–13 filters again, so a stale or hand-edited history
@@ -192,22 +192,22 @@ impl Autotuner {
         let general = lib
             .general_for(actor)
             .ok_or(SelectError::NoImplementation(actor))?;
-        // Line 10: random test input at the actor's input size.
-        let test_input = generate_test_input(actor, dtype, size, self.seed);
-        // Lines 12–13: dtype/size filters, library order kept.
-        let candidates: Vec<&Kernel> = impls
-            .into_iter()
-            .filter(|imp| imp.can_handle_dtype(dtype) && imp.can_handle_size(size))
-            .collect();
-        // Lines 14–17: run, cost, keep the minimum.
-        let picked = if exhaustive {
-            self.scan(&candidates, size, &test_input)
-        } else {
-            cheapest_that_runs(&candidates, size, &test_input)
+        // Line 10: random test input at the actor's input size, needed only
+        // by the meter that runs candidates.
+        let test_input = match self.meter {
+            Meter::OpCount => Vec::new(),
+            Meter::WallClock { .. } => generate_test_input(actor, dtype, size, self.seed),
         };
-        let (best, cost) = picked.map_err(|last| SelectError::AllFailed { actor, last })?;
-        // Line 8's general implementation stands unless a candidate that
-        // runs costs less than the initial `u64::MAX`.
+        // Lines 12–13: dtype/size filters, library order kept.
+        let candidates = impls
+            .into_iter()
+            .filter(|imp| imp.can_handle_dtype(dtype) && imp.can_handle_size(size));
+        // Lines 14–17: cost, keep the minimum.
+        let (best, cost) = self
+            .scan(candidates, size, &test_input)
+            .map_err(|last| SelectError::AllFailed { actor, last })?;
+        // Line 8's general implementation stands unless a candidate costs
+        // less than the initial `u64::MAX`.
         let best = if cost == u64::MAX { general } else { best };
         // Line 18: store.
         self.history.insert(
@@ -224,17 +224,17 @@ impl Autotuner {
     }
 
     /// Lines 14–17 as the paper writes them: measure every candidate and
-    /// keep the first of minimum cost. When none runs, the error is that of
-    /// the last failing candidate.
+    /// keep the first of minimum cost. When none can be measured, the error
+    /// is that of the last failing candidate.
     fn scan<'lib>(
         &self,
-        candidates: &[&'lib Kernel],
+        candidates: impl IntoIterator<Item = &'lib Kernel>,
         size: &KernelSize,
         input: &[Tensor],
     ) -> Result<(&'lib Kernel, u64), KernelError> {
         let mut best: Option<(&Kernel, u64)> = None;
         let mut last_err = None;
-        for &imp in candidates {
+        for imp in candidates {
             match self.measure(imp, size, input) {
                 Ok(cost) => {
                     if best.is_none_or(|(_, min)| cost < min) {
@@ -244,22 +244,25 @@ impl Autotuner {
                 Err(e) => last_err = Some(e),
             }
         }
-        best.ok_or_else(|| last_err.unwrap_or_else(no_candidate))
+        best.ok_or_else(|| {
+            last_err.unwrap_or_else(|| KernelError("no candidate passed filters".into()))
+        })
     }
 
+    /// `runImplementation` (line 14): the candidate's cost under this
+    /// tuner's meter.
     fn measure(
         &self,
         imp: &Kernel,
         size: &KernelSize,
         input: &[Tensor],
     ) -> Result<u64, KernelError> {
-        // Always execute once: a kernel that cannot run must never win.
-        imp.run(input)?;
         match self.meter {
-            // `select` ranks by op count without scanning
-            // (`cheapest_that_runs`); this arm serves the test oracle.
             Meter::OpCount => Ok(imp.op_count(size)),
             Meter::WallClock { reps } => {
+                // An untimed run first: a kernel that cannot run must
+                // never win.
+                imp.run(input)?;
                 let start = Instant::now();
                 for _ in 0..reps.max(1) {
                     imp.run(input)?;
@@ -339,42 +342,6 @@ impl Autotuner {
             );
         }
     }
-}
-
-/// Lines 14–17 under [`Meter::OpCount`]. A candidate's cost is its
-/// analytic op count, known before it runs, so the candidates are ranked by
-/// `(op count, library position)` and run in that order. The first that
-/// runs is the minimum the full scan keeps, ties going to the earlier
-/// kernel, and no costlier candidate executes. When none runs, the error is
-/// that of the failing candidate last in library order, as the scan
-/// reports it.
-fn cheapest_that_runs<'lib>(
-    candidates: &[&'lib Kernel],
-    size: &KernelSize,
-    input: &[Tensor],
-) -> Result<(&'lib Kernel, u64), KernelError> {
-    let mut ranked: Vec<(u64, usize, &Kernel)> = candidates
-        .iter()
-        .enumerate()
-        .map(|(pos, &imp)| (imp.op_count(size), pos, imp))
-        .collect();
-    ranked.sort_unstable_by_key(|&(cost, pos, _)| (cost, pos));
-    let mut last_err: Option<(usize, KernelError)> = None;
-    for (cost, pos, imp) in ranked {
-        match imp.run(input) {
-            Ok(_) => return Ok((imp, cost)),
-            Err(e) => {
-                if last_err.as_ref().is_none_or(|(last, _)| pos > *last) {
-                    last_err = Some((pos, e));
-                }
-            }
-        }
-    }
-    Err(last_err.map_or_else(no_candidate, |(_, e)| e))
-}
-
-fn no_candidate() -> KernelError {
-    KernelError("no candidate passed filters".into())
 }
 
 /// `generateTestInput(DataSize)` (Algorithm 1 line 10): random input
@@ -610,20 +577,6 @@ mod tests {
         assert_eq!(a[0], b[0]);
     }
 
-    impl Autotuner {
-        /// The oracle for the cost-ordered path: exhaustive pre-calculation,
-        /// every candidate run and costed by this tuner's meter.
-        fn select_exhaustive<'lib>(
-            &mut self,
-            lib: &'lib CodeLibrary,
-            actor: ActorKind,
-            dtype: DataType,
-            size: &KernelSize,
-        ) -> Result<(&'lib Kernel, bool), SelectError> {
-            self.select_with(lib, actor, dtype, size, true)
-        }
-    }
-
     /// 1-D sizes: everything up to 64, every larger power of two (and so of
     /// four) up to 2048, and some primes and composites in between.
     fn one_d_sizes() -> Vec<usize> {
@@ -675,30 +628,16 @@ mod tests {
         r.map(|(k, from_history)| (k.name, from_history))
     }
 
-    /// Select every `(dtype, size)` with both paths on `lib`, asserting the
-    /// same outcome each time and the same history at the end.
-    fn assert_matches_oracle(
-        lib: &CodeLibrary,
-        actor: ActorKind,
-        cases: &[(DataType, KernelSize)],
-    ) {
-        let mut ranked = Autotuner::new(Meter::OpCount);
-        let mut oracle = Autotuner::new(Meter::OpCount);
-        for (dtype, size) in cases {
-            let got = outcome(ranked.select(lib, actor, *dtype, size));
-            let want = outcome(oracle.select_exhaustive(lib, actor, *dtype, size));
-            assert_eq!(got, want, "{actor} {dtype} {size}");
-        }
-        assert_eq!(
-            ranked.history_to_text(),
-            oracle.history_to_text(),
-            "{actor}"
-        );
-    }
-
     #[test]
-    fn cost_ordered_select_matches_exhaustive_scan() {
+    fn op_count_selection_runs_no_kernel() {
+        // Every kernel body refuses, so any run would change the outcome:
+        // the same winners and history as on the real library show that
+        // op-count selection executes nothing.
         let lib = CodeLibrary::new();
+        let refusing = lib
+            .kernels()
+            .iter()
+            .fold(lib.clone(), |l, k| l.with_run(k.actor, k.name, refuse_any));
         let mut kinds = 0;
         for actor in ActorKind::ALL {
             if actor.class() != hcg_model::KindClass::Intensive {
@@ -708,11 +647,18 @@ mod tests {
             let grid = size_grid(actor);
             let mut cases: Vec<(DataType, KernelSize)> =
                 grid.iter().map(|s| (DataType::F32, s.clone())).collect();
-            // Integer inputs pass no filter: both paths report `AllFailed`.
+            // Integer inputs pass no filter: both report `AllFailed`.
             cases.push((DataType::I32, grid[0].clone()));
-            // A repeated size is a history hit on both sides.
+            // A repeated size is a history hit on both.
             cases.push((DataType::F32, grid[grid.len() - 1].clone()));
-            assert_matches_oracle(&lib, actor, &cases);
+            let mut real = Autotuner::new(Meter::OpCount);
+            let mut refused = Autotuner::new(Meter::OpCount);
+            for (dtype, size) in &cases {
+                let want = outcome(real.select(&lib, actor, *dtype, size));
+                let got = outcome(refused.select(&refusing, actor, *dtype, size));
+                assert_eq!(got, want, "{actor} {dtype} {size}");
+            }
+            assert_eq!(refused.history_to_text(), real.history_to_text(), "{actor}");
         }
         assert!(kinds >= 10, "covered {kinds} intensive kinds");
     }
@@ -725,6 +671,7 @@ mod tests {
         };
     }
     refusing!(
+        refuse_any,
         refuse_generic,
         refuse_naive_dft,
         refuse_radix2,
@@ -738,27 +685,22 @@ mod tests {
     }
 
     #[test]
-    fn cheapest_failing_candidate_yields_to_next_cheapest() {
+    fn wall_clock_never_picks_a_failing_candidate() {
         let lib = CodeLibrary::new().with_run(ActorKind::Fft, "radix4", refuse_radix4);
-        let size = KernelSize(vec![1024]);
-        let mut t = Autotuner::new(Meter::OpCount);
-        let (k, _) = t
-            .select(&lib, ActorKind::Fft, DataType::F32, &size)
-            .unwrap();
-        assert_eq!(
-            k.name, "radix2",
-            "radix4 is cheapest at 1024 but cannot run"
-        );
-        assert_eq!(t.history_for(ActorKind::Fft)[0].cost, k.op_count(&size));
-        let sizes: Vec<_> = [16, 64, 256, 1024, 1000]
-            .into_iter()
-            .map(|n| (DataType::F32, KernelSize(vec![n])))
-            .collect();
-        assert_matches_oracle(&lib, ActorKind::Fft, &sizes);
+        let mut t = Autotuner::new(Meter::WallClock { reps: 1 });
+        for n in [16, 64, 256, 1024, 1000] {
+            let size = KernelSize(vec![n]);
+            let (k, _) = t
+                .select(&lib, ActorKind::Fft, DataType::F32, &size)
+                .unwrap();
+            assert_ne!(k.name, "radix4", "radix4 cannot run, at {n}");
+            assert!(k.can_handle_size(&size), "{} at {n}", k.name);
+        }
+        assert_eq!(t.history_len(), 5);
     }
 
     #[test]
-    fn all_failing_reports_last_failure_in_library_order() {
+    fn wall_clock_all_failing_reports_last_failure_in_library_order() {
         let lib = CodeLibrary::new()
             .with_run(ActorKind::Fft, "generic", refuse_generic)
             .with_run(ActorKind::Fft, "naive_dft", refuse_naive_dft)
@@ -766,24 +708,22 @@ mod tests {
             .with_run(ActorKind::Fft, "radix4", refuse_radix4)
             .with_run(ActorKind::Fft, "mixed", refuse_mixed)
             .with_run(ActorKind::Fft, "bluestein", refuse_bluestein);
-        let mut t = Autotuner::new(Meter::OpCount);
-        // naive_dft is the costliest, so it runs last; bluestein is listed last.
-        let err = t
-            .select(&lib, ActorKind::Fft, DataType::F32, &KernelSize(vec![1024]))
-            .unwrap_err();
-        assert_eq!(
-            err,
-            SelectError::AllFailed {
-                actor: ActorKind::Fft,
-                last: KernelError("refuse_bluestein".into())
-            }
-        );
+        let mut t = Autotuner::new(Meter::WallClock { reps: 1 });
+        for n in [1, 4, 16, 1000, 1024] {
+            // bluestein is listed last and accepts every length.
+            let err = t
+                .select(&lib, ActorKind::Fft, DataType::F32, &KernelSize(vec![n]))
+                .unwrap_err();
+            assert_eq!(
+                err,
+                SelectError::AllFailed {
+                    actor: ActorKind::Fft,
+                    last: KernelError("refuse_bluestein".into())
+                },
+                "at {n}"
+            );
+        }
         assert_eq!(t.history_len(), 0);
-        let sizes: Vec<_> = [1, 4, 16, 1000, 1024]
-            .into_iter()
-            .map(|n| (DataType::F32, KernelSize(vec![n])))
-            .collect();
-        assert_matches_oracle(&lib, ActorKind::Fft, &sizes);
     }
 
     fn ops_one(_: &KernelSize) -> u64 {
@@ -805,16 +745,11 @@ mod tests {
         };
         assert_eq!(pick(&mut t, 1024), "radix2");
         assert_eq!(pick(&mut t, 1000), "mixed");
-        let sizes: Vec<_> = [1, 16, 1000, 1024]
-            .into_iter()
-            .map(|n| (DataType::F32, KernelSize(vec![n])))
-            .collect();
-        assert_matches_oracle(&lib, ActorKind::Fft, &sizes);
     }
 
     #[test]
     fn unmeasurable_candidates_leave_the_general_implementation() {
-        let mut lib = CodeLibrary::new().with_run(ActorKind::Fft, "generic", refuse_generic);
+        let mut lib = CodeLibrary::new();
         for k in [
             "generic",
             "naive_dft",
@@ -832,7 +767,6 @@ mod tests {
             .unwrap();
         assert_eq!(k.name, "generic");
         assert_eq!(t.history_for(ActorKind::Fft)[0].cost, u64::MAX);
-        assert_matches_oracle(&lib, ActorKind::Fft, &[(DataType::F32, size)]);
     }
 
     #[test]

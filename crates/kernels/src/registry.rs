@@ -248,7 +248,6 @@ fn any_len(_: usize) -> bool {
 }
 
 fft_kernels!(
-    (run_fft_generic, run_ifft_generic, fft_mixed, any_len),
     (run_fft_naive, run_ifft_naive, dft_naive, any_len),
     (run_fft_radix2, run_ifft_radix2, fft_radix2, is_pow2),
     (run_fft_radix4, run_ifft_radix4, fft_radix4, is_pow4),
@@ -260,16 +259,6 @@ fft_kernels!(
         any_len
     ),
 );
-
-fn run_dct_generic(inputs: &[Tensor]) -> Result<Tensor, KernelError> {
-    let x = one_input(inputs)?;
-    out_tensor(x.ty.dtype, dct2_fft(&x.as_f64()))
-}
-
-fn run_idct_generic(inputs: &[Tensor]) -> Result<Tensor, KernelError> {
-    let x = one_input(inputs)?;
-    out_tensor(x.ty.dtype, dct3_fft(&x.as_f64()))
-}
 
 fn run_dct_naive(inputs: &[Tensor]) -> Result<Tensor, KernelError> {
     let x = one_input(inputs)?;
@@ -585,13 +574,15 @@ impl CodeLibrary {
             // FFT family (Figure 1 of the paper). The *generic* entry is
             // the any-length library function a template-based generator
             // links in (Algorithm 1's general implementation); the others
-            // are the scale-specialised choices.
+            // are the scale-specialised choices. The FFT/IFFT generic entry
+            // runs the same body as `mixed`, and the DCT/IDCT one the same
+            // as `via_fft`; each differs from its twin only in its op model.
             k(
                 "generic",
                 Fft,
                 true,
                 any_size as fn(&KernelSize) -> bool,
-                run_fft_generic as fn(&[Tensor]) -> Result<Tensor, KernelError>,
+                run_fft_mixed as fn(&[Tensor]) -> Result<Tensor, KernelError>,
                 ops_fft_generic as fn(&KernelSize) -> u64,
             ),
             k(
@@ -633,7 +624,7 @@ impl CodeLibrary {
                 Ifft,
                 true,
                 any_size,
-                run_ifft_generic,
+                run_ifft_mixed,
                 ops_fft_generic,
             ),
             k(
@@ -677,14 +668,7 @@ impl CodeLibrary {
                 ops_fft_bluestein,
             ),
             // DCT / IDCT.
-            k(
-                "generic",
-                Dct,
-                true,
-                any_size,
-                run_dct_generic,
-                ops_dct_generic,
-            ),
+            k("generic", Dct, true, any_size, run_dct_fft, ops_dct_generic),
             k("naive", Dct, false, any_size, run_dct_naive, ops_dct_naive),
             k("via_fft", Dct, false, any_size, run_dct_fft, ops_dct_fft),
             k(
@@ -692,7 +676,7 @@ impl CodeLibrary {
                 Idct,
                 true,
                 any_size,
-                run_idct_generic,
+                run_idct_fft,
                 ops_dct_generic,
             ),
             k(

@@ -13,8 +13,7 @@
 //!   text ([`render_prometheus`]). It is built only where telemetry leaves
 //!   the process (`GET /metrics`, the fuzz report); counts themselves live
 //!   in the typed values the work returns (`StageReport`,
-//!   `IncrementalStats`, `PoolStats`, `VerifyOutcome`, the daemon's
-//!   `ServeCounters`).
+//!   `IncrementalStats`, `VerifyOutcome`, the daemon's `ServeCounters`).
 //! * [`chrome_trace_json`] — Chrome trace-event JSON loadable by
 //!   `chrome://tracing` and Perfetto; [`render_tree`] is the compact text
 //!   alternative.

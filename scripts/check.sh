@@ -38,7 +38,7 @@ CARGO_TARGET_DIR=.bench_build cargo run -q --release --offline --locked \
 tail -n 1 target/ledger-edit-smoke.txt | grep -q '"correct": true'
 tail -n 1 target/ledger-edit-smoke.txt | grep -q '"failed": 0,'
 
-echo "==> ledger paper-cold smoke (one short traced run: Algorithm 1 and the transform kernels on every paper model, C-digest oracle holds, no op fails)"
+echo "==> ledger paper-cold smoke (one short traced run over every paper model: C digests match, the VM-vs-reference oracle holds, no op fails)"
 CARGO_TARGET_DIR=.bench_build cargo run -q --release --offline --locked \
     --manifest-path ledger/Cargo.toml -- run --workload paper-cold --seed 1 \
     --seconds 2 --trace 1 --out target/ledger-smoke > target/ledger-paper-smoke.txt

@@ -11,8 +11,11 @@
 //! The kernels call the platform's `sin`/`cos`, so the digests hold for
 //! x86-64 Linux (glibc's libm); another libm may round differently.
 //!
-//! The same spread checks the rest of `Kernel::run`'s contract: a size the
-//! kernel's own filter rejects is an `Err`, never a panic.
+//! The same spread checks the rest of `Kernel::run`'s contract, in both
+//! directions: a size the kernel's own filter accepts runs, for `f32` and
+//! `f64`, and a size it rejects is an `Err`, never a panic. Algorithm 1's
+//! op-count selection runs no candidate, so this contract is what keeps a
+//! kernel that cannot run from winning.
 
 use hcg::fuzz::report::fnv1a;
 use hcg::kernels::fft::{self, Direction};
@@ -216,18 +219,29 @@ fn kernel_outputs_match_the_golden_digests() {
 }
 
 #[test]
-fn sizes_a_kernel_rejects_are_errors_not_panics() {
+fn accepted_sizes_run_and_rejected_sizes_are_errors() {
     let lib = CodeLibrary::new();
-    let mut rejected = 0;
+    let (mut accepted, mut rejected) = (0, 0);
     for k in lib.kernels() {
         for size in spread(k.actor) {
-            if k.can_handle_size(&size) {
+            if !k.can_handle_size(&size) {
+                let inputs = generate_test_input(k.actor, DataType::F64, &size, SEED);
+                assert!(k.run(&inputs).is_err(), "{k:?} ran at rejected size {size}");
+                rejected += 1;
                 continue;
             }
-            let inputs = generate_test_input(k.actor, DataType::F64, &size, SEED);
-            assert!(k.run(&inputs).is_err(), "{k:?} ran at rejected size {size}");
-            rejected += 1;
+            for dtype in [DataType::F32, DataType::F64] {
+                if !k.can_handle_dtype(dtype) {
+                    continue;
+                }
+                let inputs = generate_test_input(k.actor, dtype, &size, SEED);
+                if let Err(e) = k.run(&inputs) {
+                    panic!("{k:?} failed at accepted size {size} {dtype}: {e}");
+                }
+                accepted += 1;
+            }
         }
     }
+    assert!(accepted > 0, "the spread covers no accepted size");
     assert!(rejected > 0, "the spread covers no rejected size");
 }
