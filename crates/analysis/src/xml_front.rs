@@ -1,162 +1,70 @@
-//! Lenient model-file front end.
+//! Model-file front end.
 //!
-//! `hcg_model::parser::model_from_xml` is strict and fails on the first
-//! schema violation. This pass re-walks the raw XML, collecting *every*
-//! file-level problem (missing attributes, non-dense ids, bad port specs,
-//! unknown actor kinds) as diagnostics, and only then — if the file is
-//! clean enough to parse — chains into the semantic model lints.
+//! `hcg_model::parser::read_model_file` runs the schema walk that
+//! `model_from_xml` runs, but keeps *every* file-level problem (missing
+//! attributes, non-dense ids, bad port specs, unknown actor kinds) rather
+//! than the first. This pass maps each one to a diagnostic and, when there
+//! are none, chains the model that same walk read into the semantic model
+//! lints, so a file is read once.
 
 use crate::diagnostics::{LintCode, LintReport, Location};
 use crate::model_lints::lint_model;
-use hcg_model::parser::model_from_xml;
-use hcg_model::xml::{self, XmlElement};
-use hcg_model::ActorKind;
+use hcg_model::parser::{read_model_file, Fault, SchemaViolation};
+use hcg_model::Model;
 
 /// Lint a model file from its XML text.
 ///
 /// Returns one report containing file-level diagnostics and, when the file
 /// parses, all model-level diagnostics as well.
 pub fn lint_model_file(text: &str) -> LintReport {
-    let root = match xml::parse(text) {
-        Ok(root) => root,
+    lint_model_file_with_model(text).0
+}
+
+/// [`lint_model_file`], also returning the model the file holds, if it has
+/// no file-level diagnostic.
+pub fn lint_model_file_with_model(text: &str) -> (LintReport, Option<Model>) {
+    let file = match read_model_file(text) {
+        Ok(file) => file,
         Err(e) => {
             let mut r = LintReport::new("<malformed xml>");
             r.push(LintCode::MalformedXml, Location::Global, e.to_string());
-            return r;
+            return (r, None);
         }
     };
-    let subject = root.attr("name").unwrap_or("<unnamed>").to_owned();
-    let mut r = LintReport::new(subject);
-    lint_file_structure(&root, &mut r);
-    if r.has_errors() {
-        return r;
+    let mut r = LintReport::new(file.name.unwrap_or_else(|| "<unnamed>".to_owned()));
+    match &file.model {
+        Ok(model) => r.extend(lint_model(model)),
+        Err(violations) => violations.iter().for_each(|v| push_violation(&mut r, v)),
     }
-    match model_from_xml(text) {
-        Ok(model) => {
-            let semantic = lint_model(&model);
-            r.extend(semantic);
-        }
-        Err(e) => {
-            // The lenient walk missed something the strict parser rejects —
-            // still surface it rather than silently returning a clean report.
-            r.push(
-                LintCode::MalformedModelFile,
-                Location::Global,
-                e.to_string(),
-            );
-        }
-    }
-    r
+    (r, file.model.ok())
 }
 
-fn lint_file_structure(root: &XmlElement, r: &mut LintReport) {
-    if root.name != "model" {
-        r.push(
-            LintCode::MalformedModelFile,
-            Location::Global,
-            format!("root element must be <model>, got <{}>", root.name),
-        );
-        return;
-    }
-    let mut expected_id = 0usize;
-    for child in &root.children {
-        match child.name.as_str() {
-            "actor" => {
-                lint_actor_element(child, expected_id, r);
-                expected_id += 1;
-            }
-            "connect" => lint_connect_element(child, r),
-            other => r.push(
-                LintCode::MalformedModelFile,
-                Location::Global,
-                format!("unexpected element <{other}> inside <model>"),
-            ),
+/// One file-level diagnostic, worded to name the attribute or value at
+/// fault more fully than the parser's error text.
+fn push_violation(r: &mut LintReport, v: &SchemaViolation) {
+    let message = match &v.fault {
+        Fault::UnexpectedElement(name) => format!("unexpected element <{name}> inside <model>"),
+        Fault::MissingAttr("actor", "name") => format!(
+            "<actor id={}> is missing its name attribute",
+            v.actor.as_ref().map_or(0, |a| a.0)
+        ),
+        Fault::MissingAttr(element, attr) => format!("<{element}> is missing its {attr} attribute"),
+        Fault::IdNotInteger(raw) => format!("<actor> id {raw:?} is not an integer"),
+        Fault::UnknownKind(e) => format!("unknown actor kind {:?}", e.kind()),
+        Fault::NotActorPort(spec) | Fault::BadActorId(spec) | Fault::BadPortIndex(spec) => {
+            format!("port reference {spec:?} must be actor:port")
         }
-    }
-}
-
-fn lint_actor_element(el: &XmlElement, expected_id: usize, r: &mut LintReport) {
-    let name = el.attr("name").unwrap_or("<unnamed>");
-    let at = |port| Location::Actor {
-        name: name.to_owned(),
-        port,
+        Fault::WrongRoot(_) | Fault::IdOutOfOrder(_) => v.to_string(),
     };
-    match el.attr("id") {
-        None => r.push(
-            LintCode::MalformedModelFile,
-            at(None),
-            "<actor> is missing its id attribute".to_owned(),
-        ),
-        Some(raw) => match raw.parse::<usize>() {
-            Err(_) => r.push(
-                LintCode::MalformedModelFile,
-                at(None),
-                format!("<actor> id {raw:?} is not an integer"),
-            ),
-            Ok(id) if id != expected_id => r.push(
-                LintCode::MalformedModelFile,
-                at(None),
-                format!("actor ids must be dense and in order: expected {expected_id}, got {id}"),
-            ),
-            Ok(_) => {}
-        },
-    }
-    if el.attr("name").is_none() {
-        r.push(
-            LintCode::MalformedModelFile,
-            at(None),
-            format!("<actor id={expected_id}> is missing its name attribute"),
-        );
-    }
-    match el.attr("kind") {
-        None => r.push(
-            LintCode::MalformedModelFile,
-            at(None),
-            "<actor> is missing its kind attribute".to_owned(),
-        ),
-        Some(kind) => {
-            if kind.parse::<ActorKind>().is_err() {
-                r.push(
-                    LintCode::UnknownActorKind,
-                    at(None),
-                    format!("unknown actor kind {kind:?}"),
-                );
-            }
-        }
-    }
-    for p in el.children_named("param") {
-        if p.attr("name").is_none() {
-            r.push(
-                LintCode::MalformedModelFile,
-                at(None),
-                "<param> is missing its name attribute".to_owned(),
-            );
-        }
-    }
-}
-
-fn lint_connect_element(el: &XmlElement, r: &mut LintReport) {
-    for attr in ["from", "to"] {
-        match el.attr(attr) {
-            None => r.push(
-                LintCode::MalformedModelFile,
-                Location::Global,
-                format!("<connect> is missing its {attr} attribute"),
-            ),
-            Some(spec) => {
-                let ok = spec
-                    .split_once(':')
-                    .is_some_and(|(a, p)| a.parse::<usize>().is_ok() && p.parse::<usize>().is_ok());
-                if !ok {
-                    r.push(
-                        LintCode::MalformedModelFile,
-                        Location::Global,
-                        format!("port reference {spec:?} must be actor:port"),
-                    );
-                }
-            }
-        }
-    }
+    let code = match &v.fault {
+        Fault::UnknownKind(_) => LintCode::UnknownActorKind,
+        _ => LintCode::MalformedModelFile,
+    };
+    let location = v.actor.as_ref().map_or(Location::Global, |(_, name)| {
+        let name = name.as_deref().unwrap_or("<unnamed>").to_owned();
+        Location::Actor { name, port: None }
+    });
+    r.push(code, location, message);
 }
 
 #[cfg(test)]
@@ -202,20 +110,21 @@ mod tests {
     #[test]
     fn semantic_lints_chain_after_clean_parse() {
         // File parses fine, but the Abs actor's input is never driven.
-        let r = lint_model_file(
-            r#"<model name="t">
+        let text = r#"<model name="t">
                  <actor id="0" name="n" kind="Abs"/>
                  <actor id="1" name="y" kind="Outport"/>
                  <connect from="0:0" to="1:0"/>
-               </model>"#,
-        );
+               </model>"#;
+        let (r, model) = lint_model_file_with_model(text);
         assert!(r.has(LintCode::UnconnectedInput), "got: {}", r.render());
+        assert_eq!(model, hcg_model::parser::model_from_xml(text).ok());
     }
 
     #[test]
     fn wrong_root_element() {
-        let r = lint_model_file("<simulink/>");
+        let (r, model) = lint_model_file_with_model("<simulink/>");
         assert!(r.has(LintCode::MalformedModelFile));
+        assert_eq!(model, None);
     }
 
     #[test]

@@ -13,13 +13,13 @@
 //! each program's lint report. The exit status is non-zero when any report
 //! contains error-severity diagnostics.
 
-use hcg_analysis::{format_reports, lint_model_file, lint_program, LintReport};
+use hcg_analysis::{format_reports, lint_model_file_with_model, lint_program, LintReport};
 use hcg_baselines::{DfSynthGen, SimulinkCoderGen};
 use hcg_core::{CodeGenerator, HcgGen};
 use hcg_isa::Arch;
 use hcg_kernels::CodeLibrary;
 use hcg_model::library;
-use hcg_model::parser::{model_from_xml, model_to_xml};
+use hcg_model::parser::model_to_xml;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -45,19 +45,12 @@ fn main() {
                 continue;
             }
         };
-        let report = lint_model_file(&text);
+        let (report, model) = lint_model_file_with_model(&text);
         failed |= print_report(&report);
         if report.has_errors() || models_only {
             continue;
         }
-        let model = match model_from_xml(&text) {
-            Ok(m) => m,
-            Err(e) => {
-                eprintln!("lint: {path}: {e}");
-                failed = true;
-                continue;
-            }
-        };
+        let model = model.expect("a report without errors comes with its model");
         let lib = CodeLibrary::new();
         let generators: Vec<Box<dyn CodeGenerator>> = vec![
             Box::new(HcgGen::new()),

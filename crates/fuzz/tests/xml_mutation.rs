@@ -2,14 +2,16 @@
 //!
 //! Seeded mutants of every example model and committed repro (spans
 //! deleted or duplicated, markup spliced in, bytes overwritten) go through
-//! `model_from_xml` and the lint front end. Neither may panic, and every
-//! `Ok` model must survive a `model_to_xml` round trip. Each mutant's
+//! `model_from_xml` and the lint front end. Neither may panic, every `Ok`
+//! model must survive a `model_to_xml` round trip, and the lint reports a
+//! file-level finding exactly when `model_from_xml` fails. Each mutant's
 //! results — the parsed model or the error with its byte offset, and the
-//! rendered lint report — fold into one FNV-1a digest. The digest is pinned
-//! to the value the recursive DOM parser produced, so any reader change that
-//! moves a single result fails here.
+//! rendered lint report — fold into one FNV-1a digest, unchanged since the
+//! reader built a recursive DOM, so any reader change that moves a single
+//! result fails here.
 
 use hcg_analysis::lint_model_file;
+use hcg_analysis::LintCode::{MalformedModelFile, MalformedXml, UnknownActorKind};
 use hcg_fuzz::corpus::corpus_dir;
 use hcg_fuzz::report::fnv1a;
 use hcg_model::parser::{model_from_xml, model_to_xml};
@@ -114,7 +116,8 @@ fn mutate(rng: &mut XorShift, src: &[u8]) -> Vec<u8> {
 }
 
 /// Fold one input's front-end results into the digest, checking the round
-/// trip of every model it yields.
+/// trip of every model it yields and that both entry points agree on
+/// whether the file is a model.
 fn fold(text: &str, digest: u64) -> u64 {
     let parsed = model_from_xml(text);
     if let Ok(m) = &parsed {
@@ -122,8 +125,15 @@ fn fold(text: &str, digest: u64) -> u64 {
             .unwrap_or_else(|e| panic!("round trip of a parsed mutant failed: {e}\n{text}"));
         assert_eq!(&back, m, "round trip is not the identity:\n{text}");
     }
+    let report = lint_model_file(text);
+    let file_level = [MalformedXml, MalformedModelFile, UnknownActorKind].map(|c| report.has(c));
+    assert_eq!(
+        file_level.contains(&true),
+        parsed.is_err(),
+        "disagree on:\n{text}"
+    );
     let digest = fnv1a(format!("{parsed:?}").as_bytes(), digest);
-    fnv1a(lint_model_file(text).render().as_bytes(), digest)
+    fnv1a(report.render().as_bytes(), digest)
 }
 
 fn sources() -> Vec<PathBuf> {

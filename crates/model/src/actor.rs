@@ -290,6 +290,13 @@ impl fmt::Display for ActorKind {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParseActorKindError(String);
 
+impl ParseActorKindError {
+    /// The kind name that was not recognised.
+    pub fn kind(&self) -> &str {
+        &self.0
+    }
+}
+
 impl fmt::Display for ParseActorKindError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "unknown actor kind: {:?}", self.0)

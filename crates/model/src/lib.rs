@@ -10,7 +10,8 @@
 //!   semantics;
 //! * the [`Model`] container with structural validation and signal type
 //!   inference, plus a fluent [`ModelBuilder`];
-//! * a from-scratch [`xml`] reader/writer and the textual model [`parser`]
+//! * a from-scratch pull [`xml`] reader and the textual model [`parser`],
+//!   one schema walk for compiling and linting, plus a one-buffer writer
 //!   (the paper parses `.slx` with TinyXML; this is the equivalent);
 //! * [`schedule`] analysis (deterministic topological ordering with
 //!   delay-broken feedback);

@@ -14,13 +14,13 @@
 //! </model>
 //! ```
 
-use crate::actor::{Actor, ActorId, ActorKind};
+use crate::actor::{Actor, ActorId, ActorKind, ParseActorKindError};
 use crate::model::{Connection, Model, PortRef};
 use crate::types::Param;
-use crate::xml::{Event, Reader, XmlElement, XmlError};
+use crate::xml::{Escaped, Event, Reader, XmlError};
 use std::borrow::Cow;
 use std::collections::BTreeMap;
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// Error produced while reading a model file.
 #[derive(Debug, Clone, PartialEq)]
@@ -55,74 +55,180 @@ impl From<XmlError> for ParseModelError {
     }
 }
 
-fn schema_err(msg: impl Into<String>) -> ParseModelError {
-    ParseModelError::Schema(msg.into())
+/// One way a well-formed file breaks the model schema. Its `Display` is
+/// the text [`model_from_xml`] reports in [`ParseModelError::Schema`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SchemaViolation {
+    /// The `<actor>` element it is in, if any: that element's index among
+    /// the actors (the id it must have) and its `name` attribute.
+    pub actor: Option<(usize, Option<String>)>,
+    /// What is wrong.
+    pub fault: Fault,
+}
+
+/// What is wrong in a [`SchemaViolation`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Fault {
+    /// The root element, named here, is not `<model>`; nothing in it is checked.
+    WrongRoot(String),
+    /// An element, named here, other than `<actor>` or `<connect>` in `<model>`.
+    UnexpectedElement(String),
+    /// An element (the first name) without a required attribute (the second).
+    MissingAttr(&'static str, &'static str),
+    /// An actor `id`, given here, that is not a non-negative integer.
+    IdNotInteger(String),
+    /// An actor `id`, given here, other than the actor's index.
+    IdOutOfOrder(usize),
+    /// An actor `kind` that names no actor kind.
+    UnknownKind(ParseActorKindError),
+    /// A port spec, given here, with no `:` between actor and port.
+    NotActorPort(String),
+    /// A port spec, given here, whose actor id is not an integer.
+    BadActorId(String),
+    /// A port spec, given here, whose port index is not an integer.
+    BadPortIndex(String),
+}
+
+impl fmt::Display for SchemaViolation {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match &self.fault {
+            Fault::WrongRoot(root) => write!(f, "root element must be <model>, got <{root}>"),
+            Fault::UnexpectedElement(name) => write!(f, "unexpected element <{name}>"),
+            Fault::MissingAttr(element, attr) => write!(f, "<{element}> missing {attr}"),
+            Fault::IdNotInteger(_) => f.write_str("<actor> id must be an integer"),
+            Fault::IdOutOfOrder(id) => {
+                let expected = self.actor.as_ref().map_or(0, |a| a.0);
+                write!(
+                    f,
+                    "actor ids must be dense and in order: expected {expected}, got {id}"
+                )
+            }
+            Fault::UnknownKind(e) => write!(f, "{e}"),
+            Fault::NotActorPort(spec) => write!(f, "port reference {spec:?} must be actor:port"),
+            Fault::BadActorId(spec) => write!(f, "bad actor id in {spec:?}"),
+            Fault::BadPortIndex(spec) => write!(f, "bad port index in {spec:?}"),
+        }
+    }
+}
+
+/// A well-formed model file as [`read_model_file`] reads it.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ModelFile {
+    /// The root element's `name` attribute.
+    pub name: Option<String>,
+    /// The model, or every schema violation in document order.
+    pub model: Result<Model, Vec<SchemaViolation>>,
 }
 
 /// Parse a model file.
 ///
 /// # Errors
 ///
-/// Returns [`ParseModelError`] for malformed XML or schema violations.
-/// Malformed XML anywhere in the file outranks a schema violation (see
-/// [`crate::xml`]). Structural/type validation is *not* performed here;
-/// call [`Model::infer_types`] afterwards (as [`crate::ModelBuilder::build`]
-/// does) to reject semantically invalid models.
+/// Returns [`ParseModelError`] for malformed XML or for the first of the
+/// schema violations [`read_model_file`] lists. Malformed XML anywhere in
+/// the file outranks a schema violation. Structural/type validation is
+/// *not* performed here; call [`Model::infer_types`] afterwards (as
+/// [`crate::ModelBuilder::build`] does) to reject semantically invalid
+/// models.
 pub fn model_from_xml(text: &str) -> Result<Model, ParseModelError> {
-    let mut reader = Reader::new(text);
-    let mut model = ModelReader::default();
-    let mut schema = None;
-    while let Some(event) = reader.next_event()? {
-        if schema.is_none() {
-            schema = model.event(&reader, event).err();
-        }
-    }
-    match schema {
-        Some(e) => Err(e),
-        None => Ok(Model {
-            name: model.name,
-            actors: model.actors,
-            connections: model.connections,
-        }),
+    let walk = SchemaWalk::run(text)?;
+    match walk.violations.first() {
+        Some(v) => Err(ParseModelError::Schema(v.to_string())),
+        None => Ok(walk.into_model()),
     }
 }
 
-/// The model being read, one [`Event`] at a time. The schema is
-/// `<model>` (level 1) holding `<actor>` and `<connect>` (level 2), with
-/// `<param>` (level 3) inside an actor; anything deeper is ignored.
+/// Read a model file in the one pass [`model_from_xml`] makes, keeping
+/// every schema violation rather than the first.
+///
+/// # Errors
+///
+/// Returns [`XmlError`] for malformed XML, which outranks any violation.
+pub fn read_model_file(text: &str) -> Result<ModelFile, XmlError> {
+    let walk = SchemaWalk::run(text)?;
+    let name = walk.name.as_deref().map(str::to_owned);
+    let model = match walk.violations.is_empty() {
+        true => Ok(walk.into_model()),
+        false => Err(walk.violations),
+    };
+    Ok(ModelFile { name, model })
+}
+
+/// The schema walk: reader events in, the model and its violations out.
+/// The schema is `<model>` (level 1) holding `<actor>` and `<connect>`
+/// (level 2), with `<param>` (level 3) inside an actor; anything deeper is
+/// ignored. The model is built only while no violation has been seen.
 #[derive(Default)]
-struct ModelReader<'a> {
-    name: String,
+struct SchemaWalk<'a> {
+    /// Set by a wrong root: nothing inside it is checked.
+    stopped: bool,
+    violations: Vec<SchemaViolation>,
+    /// The root's `name` attribute.
+    name: Option<Cow<'a, str>>,
     actors: Vec<Actor>,
     connections: Vec<Connection>,
-    /// The open `<actor>`; its params fill in as they close.
-    actor: Option<Actor>,
-    /// The open `<param>` of that actor: its name and its text so far.
+    /// `<actor>` elements seen so far, valid or not.
+    actor_elements: usize,
+    /// The open `<actor>`'s index and name attribute (a violation's
+    /// context), and its id and kind when both are valid.
+    actor: Option<(usize, Option<String>)>,
+    head: Option<(ActorId, ActorKind)>,
+    /// That actor's params so far, and the open `<param>`'s name and text.
+    params: BTreeMap<String, Param>,
     param: Option<(String, Cow<'a, str>)>,
 }
 
-impl<'a> ModelReader<'a> {
-    fn event(&mut self, r: &Reader<'a>, event: Event<'a>) -> Result<(), ParseModelError> {
+impl<'a> SchemaWalk<'a> {
+    fn run(text: &'a str) -> Result<Self, XmlError> {
+        let mut reader = Reader::new(text);
+        let mut walk = SchemaWalk::default();
+        while let Some(event) = reader.next_event()? {
+            if !walk.stopped {
+                walk.event(&reader, event);
+            }
+        }
+        Ok(walk)
+    }
+
+    fn into_model(self) -> Model {
+        Model {
+            name: self
+                .name
+                .map_or_else(|| "unnamed".to_owned(), Cow::into_owned),
+            actors: self.actors,
+            connections: self.connections,
+        }
+    }
+
+    /// Record a fault of the open `<actor>` element, if any.
+    fn record(&mut self, fault: Fault) {
+        let actor = self.actor.clone();
+        self.violations.push(SchemaViolation { actor, fault });
+    }
+
+    fn event(&mut self, r: &Reader<'a>, event: Event<'a>) {
+        let building = self.violations.is_empty();
         match (event, r.depth()) {
             (Event::Start(root), 1) => {
+                self.name = r.attr("name").cloned();
                 if root != "model" {
-                    return Err(schema_err(format!(
-                        "root element must be <model>, got <{root}>"
-                    )));
+                    self.record(Fault::WrongRoot(root.to_owned()));
+                    self.stopped = true;
                 }
-                self.name = r.attr("name").unwrap_or("unnamed").to_owned();
             }
-            (Event::Start("actor"), 2) => self.actor = Some(read_actor(r, self.actors.len())?),
-            (Event::Start("connect"), 2) => self.connections.push(read_connect(r)?),
-            (Event::Start(other), 2) => {
-                return Err(schema_err(format!("unexpected element <{other}>")))
+            (Event::Start("actor"), 2) => self.open_actor(r),
+            (Event::Start("connect"), 2) => {
+                let (from, to) = (self.port(r, "from"), self.port(r, "to"));
+                if let (Some(from), Some(to), true) = (from, to, self.violations.is_empty()) {
+                    self.connections.push(Connection { from, to });
+                }
             }
-            (Event::Start("param"), 3) if self.actor.is_some() => {
-                let name = r
-                    .attr("name")
-                    .ok_or_else(|| schema_err("<param> missing name"))?;
-                self.param = Some((name.to_owned(), Cow::Borrowed("")));
-            }
+            (Event::Start(other), 2) => self.record(Fault::UnexpectedElement(other.to_owned())),
+            (Event::Start("param"), 3) if self.actor.is_some() => match r.attr("name") {
+                None => self.record(Fault::MissingAttr("param", "name")),
+                Some(name) if building => self.param = Some((name.to_string(), Cow::Borrowed(""))),
+                Some(_) => {}
+            },
             (Event::Text(more), 3) => {
                 if let Some((_, text)) = &mut self.param {
                     if text.is_empty() {
@@ -133,94 +239,140 @@ impl<'a> ModelReader<'a> {
                 }
             }
             (Event::End(_), 2) => {
-                if let (Some(actor), Some((name, text))) = (&mut self.actor, self.param.take()) {
-                    actor.params.insert(name, Param::parse(text.trim()));
+                if let Some((name, text)) = self.param.take() {
+                    self.params.insert(name, Param::parse(text.trim()));
                 }
             }
-            (Event::End(_), 1) => self.actors.extend(self.actor.take()),
+            (Event::End(_), 1) => {
+                let params = std::mem::take(&mut self.params);
+                if let (Some((_, Some(name))), Some((id, kind)), true) =
+                    (self.actor.take(), self.head.take(), building)
+                {
+                    self.actors.push(Actor {
+                        id,
+                        name,
+                        kind,
+                        params,
+                    });
+                }
+            }
             _ => {}
         }
+    }
+
+    /// Open an `<actor>` element, checking its id, name and kind in that
+    /// order.
+    fn open_actor(&mut self, r: &Reader<'a>) {
+        let index = self.actor_elements;
+        self.actor_elements += 1;
+        self.actor = Some((index, r.attr("name").map(|n| n.to_string())));
+        let id = match r.attr("id").map(|raw| (raw, raw.parse())) {
+            None => Err(Fault::MissingAttr("actor", "id")),
+            Some((raw, Err(_))) => Err(Fault::IdNotInteger(raw.to_string())),
+            Some((_, Ok(id))) if id != index => Err(Fault::IdOutOfOrder(id)),
+            Some((_, Ok(id))) => Ok(ActorId(id)),
+        };
+        let id = id.map_err(|fault| self.record(fault)).ok();
+        if r.attr("name").is_none() {
+            self.record(Fault::MissingAttr("actor", "name"));
+        }
+        let kind = match r.attr("kind") {
+            None => Err(Fault::MissingAttr("actor", "kind")),
+            Some(kind) => kind.parse().map_err(Fault::UnknownKind),
+        };
+        let kind = kind.map_err(|fault| self.record(fault)).ok();
+        self.head = id.zip(kind);
+    }
+
+    /// The `<connect>` endpoint in attribute `attr`, recording why when
+    /// there is none.
+    fn port(&mut self, r: &Reader<'_>, attr: &'static str) -> Option<PortRef> {
+        let port = match r.attr(attr) {
+            None => Err(Fault::MissingAttr("connect", attr)),
+            Some(spec) => parse_port(spec),
+        };
+        port.map_err(|fault| self.record(fault)).ok()
+    }
+}
+
+fn parse_port(spec: &str) -> Result<PortRef, Fault> {
+    let (a, p) = spec
+        .split_once(':')
+        .ok_or_else(|| Fault::NotActorPort(spec.to_owned()))?;
+    let actor = a.parse().map_err(|_| Fault::BadActorId(spec.to_owned()))?;
+    let port = p
+        .parse()
+        .map_err(|_| Fault::BadPortIndex(spec.to_owned()))?;
+    Ok(PortRef::new(ActorId(actor), port))
+}
+
+/// Serialise a model to its file format. The output parses back to an equal
+/// model via [`model_from_xml`]. The text is measured first, then written
+/// into one `String` of exactly its length, escaping on the way.
+pub fn model_to_xml(model: &Model) -> String {
+    let mut len = Len(0);
+    write_model(model, &mut len).expect("counting takes every write");
+    let mut out = String::with_capacity(len.0);
+    write_model(model, &mut out).expect("a String takes every write");
+    out
+}
+
+/// A writer that only counts the bytes written to it.
+struct Len(usize);
+
+impl fmt::Write for Len {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.0 += s.len();
         Ok(())
     }
 }
 
-fn read_actor(r: &Reader<'_>, expected_id: usize) -> Result<Actor, ParseModelError> {
-    let id: usize = r
-        .attr("id")
-        .ok_or_else(|| schema_err("<actor> missing id"))?
-        .parse()
-        .map_err(|_| schema_err("<actor> id must be an integer"))?;
-    if id != expected_id {
-        return Err(schema_err(format!(
-            "actor ids must be dense and in order: expected {expected_id}, got {id}"
-        )));
+/// Write `model` in its file format: two-space indentation, one element
+/// per line, and an element with neither children nor text self-closing.
+fn write_model<W: fmt::Write>(model: &Model, out: &mut W) -> fmt::Result {
+    out.write_str("<model name=\"")?;
+    Escaped(out).write_str(&model.name)?;
+    if model.actors.is_empty() && model.connections.is_empty() {
+        return out.write_str("\"/>\n");
     }
-    let name = r
-        .attr("name")
-        .ok_or_else(|| schema_err("<actor> missing name"))?
-        .to_owned();
-    let kind: ActorKind = r
-        .attr("kind")
-        .ok_or_else(|| schema_err("<actor> missing kind"))?
-        .parse()
-        .map_err(|e| schema_err(format!("{e}")))?;
-    Ok(Actor {
-        id: ActorId(id),
-        name,
-        kind,
-        params: BTreeMap::new(),
-    })
-}
-
-fn parse_port(spec: &str) -> Result<PortRef, ParseModelError> {
-    let (a, p) = spec
-        .split_once(':')
-        .ok_or_else(|| schema_err(format!("port reference {spec:?} must be actor:port")))?;
-    let actor: usize = a
-        .parse()
-        .map_err(|_| schema_err(format!("bad actor id in {spec:?}")))?;
-    let port: usize = p
-        .parse()
-        .map_err(|_| schema_err(format!("bad port index in {spec:?}")))?;
-    Ok(PortRef::new(ActorId(actor), port))
-}
-
-fn read_connect(r: &Reader<'_>) -> Result<Connection, ParseModelError> {
-    let from = parse_port(
-        r.attr("from")
-            .ok_or_else(|| schema_err("<connect> missing from"))?,
-    )?;
-    let to = parse_port(
-        r.attr("to")
-            .ok_or_else(|| schema_err("<connect> missing to"))?,
-    )?;
-    Ok(Connection { from, to })
-}
-
-/// Serialise a model to its file format. The output parses back to an equal
-/// model via [`model_from_xml`].
-pub fn model_to_xml(model: &Model) -> String {
-    let mut root = XmlElement::new("model").with_attr("name", model.name.clone());
+    out.write_str("\">\n")?;
     for a in &model.actors {
-        let mut el = XmlElement::new("actor")
-            .with_attr("id", a.id.0.to_string())
-            .with_attr("name", a.name.clone())
-            .with_attr("kind", a.kind.name());
-        for (k, v) in &a.params {
-            let mut p = XmlElement::new("param").with_attr("name", k.clone());
-            p.text = v.to_string();
-            el.children.push(p);
+        write!(out, "  <actor id=\"{}\" name=\"", a.id.0)?;
+        Escaped(out).write_str(&a.name)?;
+        write!(out, "\" kind=\"{}\"", a.kind.name())?;
+        if a.params.is_empty() {
+            out.write_str("/>\n")?;
+            continue;
         }
-        root.children.push(el);
+        out.write_str(">\n")?;
+        for (k, v) in &a.params {
+            out.write_str("    <param name=\"")?;
+            Escaped(out).write_str(k)?;
+            let empty = match v {
+                Param::Int(_) | Param::Float(_) => false,
+                Param::IntVec(v) => v.is_empty(),
+                Param::FloatVec(v) => v.is_empty(),
+                Param::Str(s) => s.is_empty(),
+            };
+            if empty {
+                out.write_str("\"/>\n")?;
+            } else {
+                out.write_str("\">")?;
+                write!(Escaped(out), "{v}")?;
+                out.write_str("</param>\n")?;
+            }
+        }
+        out.write_str("  </actor>\n")?;
     }
     for c in &model.connections {
-        root.children.push(
-            XmlElement::new("connect")
-                .with_attr("from", format!("{}:{}", c.from.actor.0, c.from.port))
-                .with_attr("to", format!("{}:{}", c.to.actor.0, c.to.port)),
-        );
+        let (from, to) = (c.from, c.to);
+        writeln!(
+            out,
+            "  <connect from=\"{}:{}\" to=\"{}:{}\"/>",
+            from.actor.0, from.port, to.actor.0, to.port
+        )?;
     }
-    root.to_xml()
+    out.write_str("</model>\n")
 }
 
 #[cfg(test)]

@@ -1,4 +1,4 @@
-//! A small from-scratch XML reader/writer.
+//! A small from-scratch XML reader, and the escaping its writer needs.
 //!
 //! The paper's implementation parses Simulink `.slx` model files with
 //! TinyXML (§3.3); this module is the equivalent substrate. It supports the
@@ -14,131 +14,38 @@
 //! start tag live in one reused `Vec`. Nesting deeper than [`MAX_DEPTH`]
 //! is an [`XmlError`].
 //!
-//! The reader has two consumers. [`crate::parser::model_from_xml`] reads
-//! events straight into a model. [`parse`] builds an owned [`XmlElement`]
-//! tree for callers that walk a DOM (the lenient lint front end);
-//! `XmlElement` is also what [`crate::parser::model_to_xml`] writes
-//! through. Both consumers report the same error for the same input: the
-//! first malformed construct in document order. An XML error anywhere
-//! outranks a schema error, the order a parse-then-validate front end
-//! gives: after a schema violation `model_from_xml` reads on to the end,
-//! checking only well-formedness, and returns the schema error only for a
-//! well-formed file.
+//! The reader has one consumer, the schema walk in [`crate::parser`],
+//! which reads events straight into a model and serves both
+//! [`crate::parser::model_from_xml`] and
+//! [`crate::parser::read_model_file`]; no document tree is built. The
+//! writer, [`crate::parser::model_to_xml`], writes the text directly and
+//! escapes through `Escaped`.
 
 use std::borrow::Cow;
 use std::fmt;
 
-/// A parsed XML element.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct XmlElement {
-    /// Tag name.
-    pub name: String,
-    /// Attributes in document order.
-    pub attrs: Vec<(String, String)>,
-    /// Child elements (text nodes are accumulated into [`XmlElement::text`]).
-    pub children: Vec<XmlElement>,
-    /// Concatenated character data directly inside this element.
-    pub text: String,
-}
+/// A writer that escapes the five predefined XML entities on their way to
+/// the writer it wraps.
+pub(crate) struct Escaped<'w, W>(pub(crate) &'w mut W);
 
-impl XmlElement {
-    /// An element with no attributes, children or text.
-    pub fn new(name: impl Into<String>) -> Self {
-        XmlElement {
-            name: name.into(),
-            attrs: Vec::new(),
-            children: Vec::new(),
-            text: String::new(),
+impl<W: fmt::Write> fmt::Write for Escaped<'_, W> {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        let mut run = 0;
+        for (i, b) in s.bytes().enumerate() {
+            let entity = match b {
+                b'<' => "&lt;",
+                b'>' => "&gt;",
+                b'&' => "&amp;",
+                b'"' => "&quot;",
+                b'\'' => "&apos;",
+                _ => continue,
+            };
+            self.0.write_str(&s[run..i])?;
+            self.0.write_str(entity)?;
+            run = i + 1;
         }
+        self.0.write_str(&s[run..])
     }
-
-    /// Look up an attribute by name.
-    pub fn attr(&self, name: &str) -> Option<&str> {
-        self.attrs
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, v)| v.as_str())
-    }
-
-    /// Add an attribute (builder style).
-    pub fn with_attr(mut self, name: impl Into<String>, value: impl Into<String>) -> Self {
-        self.attrs.push((name.into(), value.into()));
-        self
-    }
-
-    /// Add a child element (builder style).
-    pub fn with_child(mut self, child: XmlElement) -> Self {
-        self.children.push(child);
-        self
-    }
-
-    /// All children with the given tag name.
-    pub fn children_named<'a>(
-        &'a self,
-        name: &'a str,
-    ) -> impl Iterator<Item = &'a XmlElement> + 'a {
-        self.children.iter().filter(move |c| c.name == name)
-    }
-
-    /// First child with the given tag name.
-    pub fn child<'a>(&'a self, name: &str) -> Option<&'a XmlElement> {
-        self.children.iter().find(|c| c.name == name)
-    }
-
-    /// Serialise to a string with 2-space indentation.
-    pub fn to_xml(&self) -> String {
-        let mut out = String::new();
-        self.write(&mut out, 0);
-        out
-    }
-
-    fn write(&self, out: &mut String, depth: usize) {
-        let pad = "  ".repeat(depth);
-        out.push_str(&pad);
-        out.push('<');
-        out.push_str(&self.name);
-        for (k, v) in &self.attrs {
-            out.push(' ');
-            out.push_str(k);
-            out.push_str("=\"");
-            out.push_str(&escape(v));
-            out.push('"');
-        }
-        if self.children.is_empty() && self.text.is_empty() {
-            out.push_str("/>\n");
-            return;
-        }
-        out.push('>');
-        if !self.text.is_empty() {
-            out.push_str(&escape(&self.text));
-        }
-        if !self.children.is_empty() {
-            out.push('\n');
-            for c in &self.children {
-                c.write(out, depth + 1);
-            }
-            out.push_str(&pad);
-        }
-        out.push_str("</");
-        out.push_str(&self.name);
-        out.push_str(">\n");
-    }
-}
-
-/// Escape the five predefined XML entities.
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '<' => out.push_str("&lt;"),
-            '>' => out.push_str("&gt;"),
-            '&' => out.push_str("&amp;"),
-            '"' => out.push_str("&quot;"),
-            '\'' => out.push_str("&apos;"),
-            other => out.push(other),
-        }
-    }
-    out
 }
 
 /// Parse error with byte offset and message.
@@ -253,11 +160,8 @@ impl<'a> Reader<'a> {
     }
 
     /// The first attribute of the last start tag with the given name.
-    pub(crate) fn attr(&self, name: &str) -> Option<&str> {
-        self.attrs
-            .iter()
-            .find(|(n, _)| *n == name)
-            .map(|(_, v)| v.as_ref())
+    pub(crate) fn attr(&self, name: &str) -> Option<&Cow<'a, str>> {
+        self.attrs.iter().find(|(n, _)| *n == name).map(|(_, v)| v)
     }
 
     fn err(&self, message: impl Into<String>) -> XmlError {
@@ -466,155 +370,101 @@ impl<'a> Reader<'a> {
     }
 }
 
-/// Parse a document and return its root element.
-///
-/// # Errors
-///
-/// Returns [`XmlError`] on malformed input (unterminated tags, mismatched
-/// close tags, bad entities, trailing content, nesting deeper than
-/// [`MAX_DEPTH`]).
-///
-/// # Examples
-///
-/// ```
-/// use hcg_model::xml::parse;
-/// # fn main() -> Result<(), hcg_model::xml::XmlError> {
-/// let doc = parse("<model name=\"m\"><actor kind=\"Add\"/></model>")?;
-/// assert_eq!(doc.attr("name"), Some("m"));
-/// assert_eq!(doc.children.len(), 1);
-/// # Ok(())
-/// # }
-/// ```
-pub fn parse(input: &str) -> Result<XmlElement, XmlError> {
-    let mut reader = Reader::new(input);
-    let mut open: Vec<XmlElement> = Vec::new();
-    let mut root = None;
-    while let Some(event) = reader.next_event()? {
-        match event {
-            Event::Start(name) => open.push(XmlElement {
-                name: name.to_owned(),
-                attrs: reader
-                    .attrs
-                    .iter()
-                    .map(|(k, v)| ((*k).to_owned(), v.clone().into_owned()))
-                    .collect(),
-                children: Vec::new(),
-                text: String::new(),
-            }),
-            Event::Text(t) => open
-                .last_mut()
-                .expect("text is inside an element")
-                .text
-                .push_str(&t),
-            Event::End(_) => {
-                let mut el = open.pop().expect("an end tag closes an open element");
-                el.text = el.text.trim().to_owned();
-                match open.last_mut() {
-                    Some(parent) => parent.children.push(el),
-                    None => root = Some(el),
-                }
-            }
-        }
-    }
-    Ok(root.expect("the reader finishes only after the root closes"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// A document's events written back as markup: start tags with their
+    /// attributes unquoted (`<x k=v>`), end tags, and text as decoded.
+    fn read_all(src: &str) -> Result<String, XmlError> {
+        let mut r = Reader::new(src);
+        let mut out = String::new();
+        while let Some(event) = r.next_event()? {
+            match event {
+                Event::Start(name) => {
+                    out += &format!("<{name}");
+                    r.attrs
+                        .iter()
+                        .for_each(|(k, v)| out += &format!(" {k}={v}"));
+                    out += ">";
+                }
+                Event::End(name) => out += &format!("</{name}>"),
+                Event::Text(text) => out += &text,
+            }
+        }
+        Ok(out)
+    }
+
     #[test]
     fn minimal_document() {
-        let doc = parse("<a/>").unwrap();
-        assert_eq!(doc.name, "a");
-        assert!(doc.attrs.is_empty());
+        assert_eq!(read_all("<a/>").unwrap(), "<a></a>");
     }
 
     #[test]
     fn attributes_and_children() {
-        let doc = parse(r#"<m name="top"><x k="1"/><x k="2"/><y/></m>"#).unwrap();
-        assert_eq!(doc.attr("name"), Some("top"));
-        assert_eq!(doc.children_named("x").count(), 2);
-        assert_eq!(doc.child("y").unwrap().name, "y");
-        assert_eq!(doc.children[1].attr("k"), Some("2"));
+        let doc = read_all(r#"<m name="top"><x k="1"/><x k="2"/><y/></m>"#).unwrap();
+        assert_eq!(doc, "<m name=top><x k=1></x><x k=2></x><y></y></m>");
     }
 
     #[test]
     fn text_content() {
-        let doc = parse("<p>hello <b>world</b> tail</p>").unwrap();
-        assert!(doc.text.contains("hello"));
-        assert_eq!(doc.child("b").unwrap().text, "world");
+        let doc = "<p>hello <b>world</b> tail</p>";
+        assert_eq!(read_all(doc).unwrap(), doc);
     }
 
     #[test]
     fn entities_decode() {
-        let doc = parse(r#"<p a="&lt;&gt;&amp;&quot;&apos;">&#65;&#x42;</p>"#).unwrap();
-        assert_eq!(doc.attr("a"), Some("<>&\"'"));
-        assert_eq!(doc.text, "AB");
+        let doc = read_all(r#"<p a="&lt;&gt;&amp;&quot;&apos;">&#65;&#x42;</p>"#).unwrap();
+        assert_eq!(doc, "<p a=<>&\"'>AB</p>");
     }
 
     #[test]
     fn comments_and_prolog_skipped() {
-        let doc = parse(
-            "<?xml version=\"1.0\"?>\n<!-- c1 --><root><!-- inside --><a/></root><!-- after -->",
-        )
-        .unwrap();
-        assert_eq!(doc.children.len(), 1);
+        let doc =
+            "<?xml version=\"1.0\"?>\n<!-- c1 --><root><!-- inside --><a/></root><!-- after -->";
+        assert_eq!(read_all(doc).unwrap(), "<root><a></a></root>");
     }
 
     #[test]
     fn single_quoted_attributes() {
-        let doc = parse("<a k='v'/>").unwrap();
-        assert_eq!(doc.attr("k"), Some("v"));
+        assert_eq!(read_all("<a k='v'/>").unwrap(), "<a k=v></a>");
     }
 
     #[test]
     fn mismatched_close_rejected() {
-        let e = parse("<a><b></a></b>").unwrap_err();
+        let e = read_all("<a><b></a></b>").unwrap_err();
         assert!(e.message.contains("mismatched"));
     }
 
     #[test]
     fn unterminated_rejected() {
-        assert!(parse("<a>").is_err());
-        assert!(parse("<a b=>").is_err());
-        assert!(parse("<a b=\"x>").is_err());
-        assert!(parse("").is_err());
+        assert!(read_all("<a>").is_err());
+        assert!(read_all("<a b=>").is_err());
+        assert!(read_all("<a b=\"x>").is_err());
+        assert!(read_all("").is_err());
     }
 
     #[test]
     fn trailing_content_rejected() {
-        assert!(parse("<a/><b/>").is_err());
+        assert!(read_all("<a/><b/>").is_err());
     }
 
     #[test]
     fn unknown_entity_rejected() {
-        assert!(parse("<a>&nope;</a>").is_err());
-    }
-
-    #[test]
-    fn roundtrip_write_parse() {
-        let el = XmlElement::new("model")
-            .with_attr("name", "t<&>t")
-            .with_child(XmlElement::new("actor").with_attr("kind", "Add"))
-            .with_child(XmlElement::new("note"));
-        let text = el.to_xml();
-        let back = parse(&text).unwrap();
-        assert_eq!(back.attr("name"), Some("t<&>t"));
-        assert_eq!(back.children.len(), 2);
+        assert!(read_all("<a>&nope;</a>").is_err());
     }
 
     #[test]
     fn utf8_text_preserved() {
-        let doc = parse("<p>héllo — 世界</p>").unwrap();
-        assert_eq!(doc.text, "héllo — 世界");
+        let doc = "<p>héllo — 世界</p>";
+        assert_eq!(read_all(doc).unwrap(), doc);
     }
 
     #[test]
     fn depth_limit_is_exact() {
         let nest = |n: usize| format!("{}{}", "<a>".repeat(n), "</a>".repeat(n));
-        assert!(parse(&nest(MAX_DEPTH)).is_ok());
-        let e = parse(&nest(MAX_DEPTH + 1)).unwrap_err();
+        assert!(read_all(&nest(MAX_DEPTH)).is_ok());
+        let e = read_all(&nest(MAX_DEPTH + 1)).unwrap_err();
         assert_eq!(
             e.offset,
             3 * MAX_DEPTH,
@@ -647,7 +497,7 @@ mod tests {
 
     #[test]
     fn error_offsets_are_where_the_fault_is() {
-        let at = |s: &str| parse(s).unwrap_err().offset;
+        let at = |s: &str| read_all(s).unwrap_err().offset;
         assert_eq!(at("<a></b>"), 6);
         assert_eq!(at("<a>&bad;</a>"), 3);
         assert_eq!(at("<a>text"), 7);

@@ -2,7 +2,7 @@
 //! semantics, parameter text forms, and schedule invariants.
 
 use hcg_model::op::{eval_binary_i, wrap_int, ElemOp};
-use hcg_model::xml::{escape, parse, XmlElement};
+use hcg_model::parser::{model_from_xml, model_to_xml};
 use hcg_model::{library, schedule::schedule, DataType, Param, SignalType, Tensor};
 use proptest::prelude::*;
 
@@ -21,23 +21,19 @@ fn arb_int_dtype() -> impl Strategy<Value = DataType> {
 }
 
 proptest! {
-    /// Any text survives XML attribute and text-node round trips.
+    /// Any printable names, ASCII or not, survive a model file round trip
+    /// as the model's, an actor's and a param's name, and so does a string
+    /// param's text (framed by letters so it reads back as a string, with
+    /// no edge whitespace for the reader to trim).
     #[test]
-    fn xml_text_roundtrip(attr in "[ -~]{0,40}", body in "[ -~]{0,60}") {
-        let mut el = XmlElement::new("t").with_attr("a", attr.clone());
-        el.text = body.trim().to_owned();
-        let parsed = parse(&el.to_xml()).expect("writer output parses");
-        prop_assert_eq!(parsed.attr("a"), Some(attr.as_str()));
-        prop_assert_eq!(parsed.text, body.trim());
-    }
-
-    /// Escaping never produces characters that break markup.
-    #[test]
-    fn escape_is_markup_safe(s in "\\PC{0,80}") {
-        let e = escape(&s);
-        prop_assert!(!e.contains('<'));
-        prop_assert!(!e.contains('>') || !s.contains('>') || !e.contains("<"));
-        prop_assert!(!e.contains('"'));
+    fn xml_name_roundtrip(model in "\\PC{0,40}", actor in "\\PC{0,40}", param in "\\PC{0,20}",
+                          text in "\\PC{0,40}") {
+        let mut m = library::fig2_model();
+        (m.name, m.actors[0].name) = (model, actor);
+        m.actors[0].params.insert(param, Param::Int(2));
+        m.actors[1].params.insert("note".to_owned(), Param::Str(format!("x{text}x")));
+        let back = model_from_xml(&model_to_xml(&m)).expect("writer output parses");
+        prop_assert_eq!(back, m);
     }
 
     /// Param text form round-trips for all numeric shapes.

@@ -1,6 +1,6 @@
 //! The bundled programs: every model shipped with the repository, compiled
 //! by each generator for each architecture. Shared by the C-text golden
-//! digest (`c_text_golden.rs`) and the emit allocation test
+//! digest (`c_text_golden.rs`) and the emit allocation tests
 //! (`emit_allocs.rs`).
 
 use hcg::fuzz::oracle::{generator_named, ORACLE_GENERATORS};
@@ -20,7 +20,7 @@ const FUZZ_SMOKE_ITERS: usize = 50;
 /// (sorted by file name), the paper's six benchmarks from
 /// `hcg_model::library`, the fuzz smoke stage's seed-0 cases, then the
 /// committed fuzz repro corpus.
-fn bundled_models() -> Vec<(String, Model)> {
+pub fn bundled_models() -> Vec<(String, Model)> {
     let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("examples/models");
     let mut files: Vec<_> = std::fs::read_dir(&dir)
         .expect("examples/models is readable")
