@@ -150,3 +150,114 @@ fn stage_report_matches_figure4_walkthrough() {
         assert!(table.contains(name), "render() must list stage {name}");
     }
 }
+
+/// The stage list each generator reports, in order.
+fn expected_stages(generator: &str) -> &'static [&'static str] {
+    match generator {
+        "hcg" => &[
+            "dispatch",
+            "region-formation",
+            "instruction-mapping",
+            "compose",
+        ],
+        "simulink-coder" => &["dispatch", "lower", "compose", "fold"],
+        "dfsynth" => &["dispatch", "lower", "compose"],
+        other => panic!("unknown generator {other}"),
+    }
+}
+
+/// A fresh instance of the generator named `name`: HcgGen's Algorithm-1
+/// history carries across generate calls, so each driver gets its own.
+fn fresh(name: &str) -> Box<dyn CodeGenerator> {
+    match name {
+        "simulink-coder" => Box::new(SimulinkCoderGen::new()),
+        "dfsynth" => Box::new(DfSynthGen::new()),
+        _ => Box::new(HcgGen::new()),
+    }
+}
+
+/// Every driver runs the same stages: for each generator × arch × the six
+/// paper models plus Figures 2 and 4, the standalone and session reports
+/// name the same stages in the same order with the same per-stage
+/// counters and statement deltas, and an `EditSession` compile yields the
+/// session's program.
+#[test]
+fn every_driver_reports_the_same_stages() {
+    let mut models = library::paper_benchmarks();
+    models.push(library::fig2_model());
+    models.push(library::fig4_model());
+    for model in models {
+        let session = CompileSession::new(model.clone());
+        for name in ["hcg", "simulink-coder", "dfsynth"] {
+            for arch in ARCHES {
+                let label = format!("{name} on {arch} for {}", model.name);
+                let (direct, direct_report) = fresh(name)
+                    .generate_with_report(&model, arch)
+                    .unwrap_or_else(|e| panic!("{label}: {e}"));
+                let (via_session, session_report) = session
+                    .generate_with_report(fresh(name).as_ref(), arch)
+                    .unwrap_or_else(|e| panic!("{label}: {e}"));
+                for report in [&direct_report, &session_report] {
+                    let names: Vec<&str> = report.stages.iter().map(|s| s.name).collect();
+                    assert_eq!(names, expected_stages(name), "{label}");
+                    assert_eq!(report.generator, name, "{label}");
+                    assert_eq!(report.model, model.name, "{label}");
+                    assert_eq!(report.arch, arch, "{label}");
+                }
+                for (d, s) in direct_report.stages.iter().zip(&session_report.stages) {
+                    assert_eq!(d.counters, s.counters, "{label}: {} counters", d.name);
+                    assert_eq!(d.stmts_emitted, s.stmts_emitted, "{label}: {}", d.name);
+                }
+                assert_eq!(
+                    direct_report.stages[0].counters.actors_dispatched,
+                    model.actors.len() as u64,
+                    "{label}: dispatch counts every actor"
+                );
+                assert_eq!(direct, via_session, "{label}: standalone vs session");
+                let edited = hcg_core::EditSession::new(model.clone())
+                    .generate(fresh(name).as_ref(), arch)
+                    .unwrap_or_else(|e| panic!("{label}: {e}"));
+                assert_eq!(edited, via_session, "{label}: edit session vs session");
+            }
+        }
+    }
+}
+
+/// With tracing on, one HCG compile records one `pipeline` span and one
+/// `pass` span per stage, named `hcg/<stage>` — the categories
+/// `repro -- profile` counts.
+#[test]
+fn traced_generate_records_pipeline_and_pass_spans() {
+    const TRACE_ID: u64 = 0x5ea_c0de;
+    let model = library::fig4_model();
+    let hcg = HcgGen::new();
+    hcg_obs::set_tracing(true);
+    {
+        let _scope = hcg_obs::trace_scope(hcg_obs::TraceContext {
+            trace_id: TRACE_ID,
+            parent: 0,
+        });
+        hcg.generate(&model, Arch::Neon128).expect("generates");
+    }
+    hcg_obs::set_tracing(false);
+    let events: Vec<_> = hcg_obs::take_events()
+        .into_iter()
+        .filter(|e| e.trace_id == TRACE_ID)
+        .collect();
+    let pipelines: Vec<&str> = events
+        .iter()
+        .filter(|e| e.cat == "pipeline")
+        .map(|e| e.name.as_str())
+        .collect();
+    assert_eq!(pipelines, [format!("hcg/{}@{}", model.name, Arch::Neon128)]);
+    let passes: Vec<&str> = events
+        .iter()
+        .filter(|e| e.cat == "pass")
+        .map(|e| e.name.as_str())
+        .collect();
+    let expected: Vec<String> = expected_stages("hcg")
+        .iter()
+        .map(|s| format!("hcg/{s}"))
+        .collect();
+    assert_eq!(passes, expected);
+}
