@@ -2,14 +2,13 @@
 
 use hcg_core::conventional::emit_conventional;
 use hcg_core::dispatch::Dispatch;
-use hcg_core::pass::{dispatch_pass, Pass};
-use hcg_core::{CodeGenerator, GenContext, GenError, LoopStyle};
+use hcg_core::{CodeGenerator, GenContext, GenError, LoopStyle, StageCounters, Stages};
 use hcg_graph::{DfgInput, ValTree};
 use hcg_isa::{sets, Arch, InstrIndex, InstrSet};
 use hcg_kernels::CodeLibrary;
 use hcg_model::op::ElemOp;
 use hcg_model::{Actor, ActorKind, KindClass, PortRef};
-use hcg_vm::{IndexExpr, Stmt};
+use hcg_vm::{IndexExpr, Program, Stmt};
 
 /// Simulink-Coder-like code generation: expression folding (small arrays
 /// fully unrolled), output-variable reuse at the copy level, generic
@@ -168,70 +167,73 @@ impl CodeGenerator for SimulinkCoderGen {
         "simulink-coder"
     }
 
-    /// Coder's pipeline: `dispatch` → `lower` (per-actor translation with
-    /// scattered SIMD on Intel) → `compose` (outport copies + delay
+    /// Coder's pipeline after dispatch: `lower` (per-actor translation
+    /// with scattered SIMD on Intel) → `compose` (outport copies + delay
     /// latches) → `fold` (adjacent-loop expression folding).
-    fn passes(&self) -> Vec<Pass<'_>> {
-        vec![
-            dispatch_pass(),
-            Pass::new("lower", move |p| {
-                let dispatch = p.take_dispatch()?;
-                let simd = Self::scattered_simd_set(p.arch());
-                let mut kernel_calls = 0u64;
-                let ctx = p.building_mut()?;
-                for idx in 0..ctx.schedule.order.len() {
-                    let aid = ctx.schedule.order[idx];
-                    let actor = ctx.model.actor(aid).clone();
-                    match actor.kind {
-                        ActorKind::Inport
-                        | ActorKind::Outport
-                        | ActorKind::Constant
-                        | ActorKind::UnitDelay => continue,
-                        _ => {}
-                    }
-                    ctx.set_origin(hcg_vm::Origin::actor(actor.name.clone()));
-                    if actor.kind.class() == KindClass::Intensive {
-                        let general = self.lib.general_for(actor.kind).ok_or_else(|| {
-                            GenError::Internal(format!("no general kernel for {}", actor.kind))
-                        })?;
-                        let inputs = (0..actor.kind.input_count())
-                            .map(|p| ctx.value_buffer(PortRef::new(aid, p)))
-                            .collect::<Result<Vec<_>, _>>()?;
-                        let output = ctx.actor_buffer(aid);
-                        ctx.prog.body.push(Stmt::KernelCall {
-                            actor: actor.kind,
-                            impl_name: general.name.to_owned(),
-                            inputs,
-                            output,
-                        });
-                        kernel_calls += 1;
-                        continue;
-                    }
-                    // Scattered SIMD on Intel for batch-dispatched actors.
-                    if let (Some(simd), Dispatch::Batch { op, len }) =
-                        (simd, dispatch[aid.0].clone())
-                    {
-                        if self.emit_scattered(ctx, &actor, op, len, simd)? {
-                            continue;
-                        }
-                    }
-                    emit_conventional(ctx, &actor, LoopStyle::CODER)?;
+    fn lower(
+        &self,
+        mut ctx: GenContext<'_>,
+        dispatch: &[Dispatch],
+        stages: &mut Stages,
+    ) -> Result<Program, GenError> {
+        let s = stages.start("lower", &ctx.prog);
+        let simd = Self::scattered_simd_set(ctx.prog.arch);
+        let mut kernel_calls = 0u64;
+        for idx in 0..ctx.schedule.order.len() {
+            let aid = ctx.schedule.order[idx];
+            let actor = ctx.model.actor(aid);
+            match actor.kind {
+                ActorKind::Inport
+                | ActorKind::Outport
+                | ActorKind::Constant
+                | ActorKind::UnitDelay => continue,
+                _ => {}
+            }
+            ctx.set_origin(hcg_vm::Origin::actor(actor.name.clone()));
+            if actor.kind.class() == KindClass::Intensive {
+                let general = self.lib.general_for(actor.kind).ok_or_else(|| {
+                    GenError::Internal(format!("no general kernel for {}", actor.kind))
+                })?;
+                let inputs = (0..actor.kind.input_count())
+                    .map(|p| ctx.value_buffer(PortRef::new(aid, p)))
+                    .collect::<Result<Vec<_>, _>>()?;
+                let output = ctx.actor_buffer(aid);
+                ctx.prog.body.push(Stmt::KernelCall {
+                    actor: actor.kind,
+                    impl_name: general.name.to_owned(),
+                    inputs,
+                    output,
+                });
+                kernel_calls += 1;
+                continue;
+            }
+            // Scattered SIMD on Intel for batch-dispatched actors.
+            if let (Some(simd), &Dispatch::Batch { op, len }) = (simd, &dispatch[aid.0]) {
+                if self.emit_scattered(&mut ctx, actor, op, len, simd)? {
+                    continue;
                 }
-                p.counters.kernel_calls += kernel_calls;
-                Ok(())
-            }),
-            Pass::new("compose", |p| p.finish()),
-            Pass::new("fold", |p| {
-                let prog = p.program_mut()?;
-                let (body, origins) = fold_adjacent_loops(
-                    std::mem::take(&mut prog.body),
-                    std::mem::take(&mut prog.origins),
-                );
-                prog.body = body;
-                prog.origins = origins;
-                Ok(())
-            }),
-        ]
+            }
+            emit_conventional(&mut ctx, actor, LoopStyle::CODER)?;
+        }
+        let counters = StageCounters {
+            kernel_calls,
+            ..StageCounters::default()
+        };
+        stages.end(s, &ctx.prog, false, counters);
+
+        let s = stages.start("compose", &ctx.prog);
+        let mut prog = ctx.finish();
+        stages.end(s, &prog, true, StageCounters::default());
+
+        let s = stages.start("fold", &prog);
+        let (body, origins) = fold_adjacent_loops(
+            std::mem::take(&mut prog.body),
+            std::mem::take(&mut prog.origins),
+        );
+        prog.body = body;
+        prog.origins = origins;
+        stages.end(s, &prog, true, StageCounters::default());
+        Ok(prog)
     }
 }
 

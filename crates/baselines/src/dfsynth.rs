@@ -2,11 +2,10 @@
 
 use hcg_core::conventional::emit_conventional;
 use hcg_core::dispatch::Dispatch;
-use hcg_core::pass::{dispatch_pass, Pass};
-use hcg_core::{CodeGenerator, GenError, LoopStyle};
+use hcg_core::{CodeGenerator, GenContext, GenError, LoopStyle, StageCounters, Stages};
 use hcg_kernels::CodeLibrary;
 use hcg_model::{ActorKind, KindClass, PortRef};
-use hcg_vm::Stmt;
+use hcg_vm::{Program, Stmt};
 
 /// DFSynth-like code generation: schedule-driven, well-structured scalar
 /// loops ("cyclic computational codes") and generic functions for intensive
@@ -30,58 +29,64 @@ impl CodeGenerator for DfSynthGen {
         "dfsynth"
     }
 
-    /// DFSynth's pipeline: `dispatch` → `lower` (generic kernels +
+    /// DFSynth's pipeline after dispatch: `lower` (generic kernels +
     /// well-structured scalar loops) → `compose`.
-    fn passes(&self) -> Vec<Pass<'_>> {
-        vec![
-            dispatch_pass(),
-            Pass::new("lower", move |p| {
-                let dispatch = p.take_dispatch()?;
-                let mut kernel_calls = 0u64;
-                let ctx = p.building_mut()?;
-                for idx in 0..ctx.schedule.order.len() {
-                    let aid = ctx.schedule.order[idx];
-                    let actor = ctx.model.actor(aid).clone();
-                    match actor.kind {
-                        ActorKind::Inport
-                        | ActorKind::Outport
-                        | ActorKind::Constant
-                        | ActorKind::UnitDelay => continue,
-                        _ => {}
-                    }
-                    ctx.set_origin(hcg_vm::Origin::actor(actor.name.clone()));
-                    if actor.kind.class() == KindClass::Intensive {
-                        // Always the generic implementation — DFSynth performs
-                        // no input-scale pre-calculation.
-                        let Dispatch::Intensive { .. } = dispatch[aid.0] else {
-                            return Err(GenError::Internal(format!(
-                                "intensive actor {} with non-float input",
-                                actor.name
-                            )));
-                        };
-                        let general = self.lib.general_for(actor.kind).ok_or_else(|| {
-                            GenError::Internal(format!("no general kernel for {}", actor.kind))
-                        })?;
-                        let inputs = (0..actor.kind.input_count())
-                            .map(|p| ctx.value_buffer(PortRef::new(aid, p)))
-                            .collect::<Result<Vec<_>, _>>()?;
-                        let output = ctx.actor_buffer(aid);
-                        ctx.prog.body.push(Stmt::KernelCall {
-                            actor: actor.kind,
-                            impl_name: general.name.to_owned(),
-                            inputs,
-                            output,
-                        });
-                        kernel_calls += 1;
-                    } else {
-                        emit_conventional(ctx, &actor, LoopStyle::LOOPS)?;
-                    }
-                }
-                p.counters.kernel_calls += kernel_calls;
-                Ok(())
-            }),
-            Pass::new("compose", |p| p.finish()),
-        ]
+    fn lower(
+        &self,
+        mut ctx: GenContext<'_>,
+        dispatch: &[Dispatch],
+        stages: &mut Stages,
+    ) -> Result<Program, GenError> {
+        let s = stages.start("lower", &ctx.prog);
+        let mut kernel_calls = 0u64;
+        for idx in 0..ctx.schedule.order.len() {
+            let aid = ctx.schedule.order[idx];
+            let actor = ctx.model.actor(aid);
+            match actor.kind {
+                ActorKind::Inport
+                | ActorKind::Outport
+                | ActorKind::Constant
+                | ActorKind::UnitDelay => continue,
+                _ => {}
+            }
+            ctx.set_origin(hcg_vm::Origin::actor(actor.name.clone()));
+            if actor.kind.class() == KindClass::Intensive {
+                // Always the generic implementation — DFSynth performs
+                // no input-scale pre-calculation.
+                let Dispatch::Intensive { .. } = dispatch[aid.0] else {
+                    return Err(GenError::Internal(format!(
+                        "intensive actor {} with non-float input",
+                        actor.name
+                    )));
+                };
+                let general = self.lib.general_for(actor.kind).ok_or_else(|| {
+                    GenError::Internal(format!("no general kernel for {}", actor.kind))
+                })?;
+                let inputs = (0..actor.kind.input_count())
+                    .map(|p| ctx.value_buffer(PortRef::new(aid, p)))
+                    .collect::<Result<Vec<_>, _>>()?;
+                let output = ctx.actor_buffer(aid);
+                ctx.prog.body.push(Stmt::KernelCall {
+                    actor: actor.kind,
+                    impl_name: general.name.to_owned(),
+                    inputs,
+                    output,
+                });
+                kernel_calls += 1;
+            } else {
+                emit_conventional(&mut ctx, actor, LoopStyle::LOOPS)?;
+            }
+        }
+        let counters = StageCounters {
+            kernel_calls,
+            ..StageCounters::default()
+        };
+        stages.end(s, &ctx.prog, false, counters);
+
+        let s = stages.start("compose", &ctx.prog);
+        let prog = ctx.finish();
+        stages.end(s, &prog, true, StageCounters::default());
+        Ok(prog)
     }
 }
 

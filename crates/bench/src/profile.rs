@@ -3,13 +3,13 @@
 //! breakdowns.
 //!
 //! Each `model × generator × architecture` cell compiles through a shared
-//! [`CompileSession`] (front-end artifacts computed once per model) and is
-//! priced with the GCC-like cost model; [`hcg_vm::profile`] then attributes
-//! every top-level statement's cycles to the source actor and mapped SIMD
-//! region recorded at emit time. Attribution is conservative by
-//! construction — per-actor sums equal the VM's total charged cycles — and
-//! the `profile_conservation` integration test pins that for every example
-//! model.
+//! [`hcg_core::CompileSession`] (front-end artifacts computed once per
+//! model) and is priced with the GCC-like cost model; [`hcg_vm::profile`]
+//! then attributes every top-level statement's cycles to the source actor
+//! and mapped SIMD region recorded at emit time. Attribution is
+//! conservative by construction — per-actor sums equal the VM's total
+//! charged cycles — and the `profile_conservation` integration test pins
+//! that for every example model.
 
 use crate::experiments::{benchmark_sessions, short_name};
 use crate::fleet::{generator_named, FLEET_ARCHES, FLEET_GENERATORS};

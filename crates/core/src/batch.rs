@@ -498,7 +498,7 @@ fn output_redirects(ctx: &GenContext<'_>, g: &Dfg) -> Result<Vec<(NodeId, ActorI
 /// A memo of instruction-mapping results keyed by region *structure*, the
 /// expensive-to-recompute half of [`plan_region_indexed`].
 ///
-/// The key (see [`region_signature`]) encodes everything Algorithm 2's
+/// The key (see `region_signature`) encodes everything Algorithm 2's
 /// mapping loop reads: element type, array length, lane count (via the
 /// arch), candidate order, and the region graph's ops and wiring shape.
 /// Buffer identities and node labels are deliberately excluded — they feed
@@ -643,8 +643,8 @@ pub fn emit_region_plan(
     let (g, externals, steps, redirect_outports) = match &plan.kind {
         RegionPlanKind::Conventional { fallback_style } => {
             for &aid in &region.members {
-                let actor = ctx.model.actor(aid).clone();
-                emit_conventional(ctx, &actor, *fallback_style)?;
+                let actor = ctx.model.actor(aid);
+                emit_conventional(ctx, actor, *fallback_style)?;
             }
             return Ok(());
         }

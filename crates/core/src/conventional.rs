@@ -184,7 +184,7 @@ mod tests {
         let mut ctx = GenContext::new(model, Arch::Neon128, "conv-test").unwrap();
         for idx in 0..ctx.schedule.order.len() {
             let aid = ctx.schedule.order[idx];
-            let actor = ctx.model.actor(aid).clone();
+            let actor = ctx.model.actor(aid);
             match actor.kind {
                 ActorKind::Inport
                 | ActorKind::Outport
@@ -204,7 +204,7 @@ mod tests {
                         output,
                     });
                 }
-                _ => emit_conventional(&mut ctx, &actor, style).unwrap(),
+                _ => emit_conventional(&mut ctx, actor, style).unwrap(),
             }
         }
         ctx.finish()

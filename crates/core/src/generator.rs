@@ -2,13 +2,14 @@
 //! the shared lowering context (buffer allocation, schedule, types) that
 //! performs the common "code composition" step ④ of paper §2.
 //!
-//! Generators describe themselves as a list of named [`Pass`]es; the trait's
-//! `generate`/`generate_with_report` methods are thin drivers over
-//! [`PassManager`]. A [`crate::CompileSession`] can feed several generators
-//! from one set of cached front-end artifacts via
+//! A generator is one straight-line [`lower`](CodeGenerator::lower) that
+//! calls its stages in order; the trait's `generate`/`generate_with_report`
+//! methods drive it through [`run_stages`]. A [`crate::CompileSession`] can
+//! feed several generators from one set of cached front-end artifacts via
 //! [`GenContext::with_artifacts`].
 
-use crate::pass::{Pass, PassManager, PipelineCtx, StageReport};
+use crate::dispatch::Dispatch;
+use crate::pass::{run_stages, StageReport, Stages};
 use hcg_isa::Arch;
 use hcg_kernels::SelectError;
 use hcg_model::naming::unique_identifier;
@@ -68,21 +69,31 @@ impl From<SelectError> for GenError {
 /// A code generator: turns a validated model into an executable
 /// [`Program`] for a target architecture.
 ///
-/// A generator is defined by its [`passes`](CodeGenerator::passes) — named
-/// pipeline stages run in order by a [`PassManager`]. The `generate*`
-/// methods are provided drivers: they build a standalone [`PipelineCtx`]
-/// (computing the front-end artifacts on the spot) and run the passes.
-/// Fleet runs that want to share artifacts across generators go through
-/// [`crate::CompileSession`] instead, which calls the same passes over
-/// borrowed artifacts.
+/// A generator is defined by its [`lower`](CodeGenerator::lower): its
+/// stages after the shared `dispatch` stage, called in order. The
+/// `generate*` methods are provided drivers: they build a standalone
+/// [`GenContext`] (computing the front-end artifacts on the spot) and run
+/// it through [`run_stages`]. Fleet runs that want to share artifacts
+/// across generators go through [`crate::CompileSession`] instead, which
+/// runs the same driver over borrowed artifacts.
 pub trait CodeGenerator {
     /// Generator name as it appears in reports (`hcg`, `simulink-coder`,
     /// `dfsynth`).
     fn name(&self) -> &'static str;
 
-    /// The generator's pipeline stages, in execution order. The final pass
-    /// must leave the context finished (see [`PipelineCtx::finish`]).
-    fn passes(&self) -> Vec<Pass<'_>>;
+    /// Lower the model in `ctx`, classified by `dispatch`, into the
+    /// finished program, recording each stage in `stages` (see
+    /// [`Stages::start`]).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`GenError`] when synthesis fails.
+    fn lower(
+        &self,
+        ctx: GenContext<'_>,
+        dispatch: &[Dispatch],
+        stages: &mut Stages,
+    ) -> Result<Program, GenError>;
 
     /// Generate code.
     ///
@@ -103,17 +114,14 @@ pub trait CodeGenerator {
         model: &Model,
         arch: Arch,
     ) -> Result<(Program, StageReport), GenError> {
-        let ctx = PipelineCtx::standalone(model, arch, self.name())?;
-        let (prog, report) = PassManager::new(self.passes()).run(ctx)?;
-        debug_verify(model, &prog);
-        Ok((prog, report))
+        run_stages(self, GenContext::new(model, arch, self.name())?, None)
     }
 
     /// Downcast hook for [`crate::EditSession`]: the HCG generator returns
     /// itself so the incremental path can reach its plan cache and kernel
     /// library; every other generator keeps the default `None` and is
-    /// recompiled through its ordinary pass list (over cached front-end
-    /// artifacts, which is already byte-identical to a scratch run).
+    /// recompiled through [`run_stages`] (over cached front-end artifacts,
+    /// which is already byte-identical to a scratch run).
     fn as_hcg(&self) -> Option<&crate::HcgGen> {
         None
     }
@@ -449,7 +457,7 @@ pub fn debug_lint(prog: &Program) {
     let _ = debug_lint_stage(prog, true);
 }
 
-/// The inter-pass lint hook (debug/test builds only): lint the program as
+/// The inter-stage lint hook (debug/test builds only): lint the program as
 /// it stands after a pipeline stage, tolerating incompleteness artifacts
 /// for mid-pipeline programs (see [`hcg_analysis::lint_stage`]).
 ///
@@ -485,8 +493,9 @@ pub fn debug_lint_stage(prog: &Program, complete: bool) -> Option<usize> {
 static DEBUG_VERIFY: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(false);
 
 /// Opt in to (or out of) static translation validation of every generated
-/// program. When enabled, `generate_with_report` runs the `hcg-verify`
-/// symbolic equivalence proof after the pipeline finishes — in debug/test
+/// program. When enabled, [`run_stages`] — the driver behind every
+/// `generate` path, sessions included — runs the `hcg-verify` symbolic
+/// equivalence proof after the pipeline finishes — in debug/test
 /// builds only, like [`debug_lint`] — and panics on any divergence, since a
 /// generated program that does not implement its model is a generator bug.
 pub fn set_debug_verify(enabled: bool) {

@@ -10,11 +10,12 @@ use crate::conventional::{emit_conventional, LoopStyle};
 use crate::dispatch::Dispatch;
 use crate::generator::{CodeGenerator, GenContext, GenError};
 use crate::intensive::emit_intensive;
-use crate::pass::{dispatch_pass, Pass};
+use crate::pass::{StageCounters, Stages};
 use crate::search::MappingStrategy;
 use hcg_isa::{sets, Arch, CostOverlay, InstrIndex, InstrSet};
 use hcg_kernels::{Autotuner, CodeLibrary, Meter};
 use hcg_model::ActorKind;
+use hcg_vm::Program;
 use std::borrow::Cow;
 use std::cell::RefCell;
 use std::collections::BTreeSet;
@@ -165,13 +166,13 @@ impl HcgGen {
     }
 
     /// The Algorithm-1 autotuner (quick-search history) shared by the
-    /// compose pass and the incremental session.
+    /// compose stage and the incremental session.
     pub(crate) fn tuner(&self) -> &RefCell<Autotuner> {
         &self.tuner
     }
 }
 
-/// The code-composition stage shared by the `compose` pass and
+/// The code-composition stage shared by HCG's `compose` stage and
 /// [`crate::EditSession`]: walk the schedule, emit each region once at its
 /// first member's position, dispatch everything else to the intensive or
 /// conventional emitters, and tag every statement with its origin. Returns
@@ -202,7 +203,7 @@ pub(crate) fn compose_into(
 
     for idx in 0..ctx.schedule.order.len() {
         let aid = ctx.schedule.order[idx];
-        let actor = ctx.model.actor(aid).clone();
+        let actor = ctx.model.actor(aid);
         match actor.kind {
             ActorKind::Inport | ActorKind::Outport | ActorKind::Constant | ActorKind::UnitDelay => {
                 continue
@@ -226,12 +227,12 @@ pub(crate) fn compose_into(
                 // would profile with an empty regions table.
                 let region_index = regions.len() + kernel_calls as usize;
                 ctx.set_origin(hcg_vm::Origin::region(actor.name.clone(), region_index));
-                emit_intensive(ctx, &actor, size, lib, tuner)?;
+                emit_intensive(ctx, actor, size, lib, tuner)?;
                 kernel_calls += 1;
             }
             _ => {
                 ctx.set_origin(hcg_vm::Origin::actor(actor.name.clone()));
-                emit_conventional(ctx, &actor, fallback_style)?;
+                emit_conventional(ctx, actor, fallback_style)?;
             }
         }
     }
@@ -247,75 +248,54 @@ impl CodeGenerator for HcgGen {
         Some(self)
     }
 
-    /// The paper's Figure 3 pipeline as explicit stages:
-    /// `dispatch` → `region-formation` → `instruction-mapping` → `compose`.
-    fn passes(&self) -> Vec<Pass<'_>> {
-        vec![
-            dispatch_pass(),
-            Pass::new("region-formation", move |p| {
-                let (set, index) = self.instr_set_indexed(p.arch());
-                let regions =
-                    form_regions_indexed(p.building()?, p.dispatch_slice()?, &set, &index);
-                p.counters.regions_formed += regions.len() as u64;
-                p.regions = Some(regions);
-                p.instr_set = Some(set);
-                p.instr_index = Some(index);
-                Ok(())
-            }),
-            Pass::new("instruction-mapping", move |p| {
-                let batch_opts = self.batch_options();
-                let mut plans = Vec::new();
-                {
-                    let ctx = p.building()?;
-                    let set = p
-                        .instr_set
-                        .as_deref()
-                        .ok_or_else(|| GenError::Internal("no instruction set".into()))?;
-                    let index = p
-                        .instr_index
-                        .as_deref()
-                        .ok_or_else(|| GenError::Internal("no instruction index".into()))?;
-                    let regions = p
-                        .regions
-                        .as_ref()
-                        .ok_or_else(|| GenError::Internal("no regions formed".into()))?;
-                    for region in regions {
-                        plans.push((
-                            region.members.len(),
-                            plan_region_indexed(ctx, region, set, index, batch_opts)?,
-                        ));
-                    }
-                }
-                for (members, plan) in &plans {
-                    if let Some(steps) = plan.simd_step_count() {
-                        p.counters.instructions_selected += steps as u64;
-                        p.counters.nodes_fused += members.saturating_sub(steps) as u64;
-                    }
-                }
-                p.plans = Some(plans.into_iter().map(|(_, plan)| plan).collect());
-                Ok(())
-            }),
-            Pass::new("compose", move |p| {
-                let dispatch = p.take_dispatch()?;
-                let regions = p.regions.take().unwrap_or_default();
-                let plans = p.plans.take().unwrap_or_default();
-                let kernel_calls = {
-                    let mut tuner = self.tuner.borrow_mut();
-                    let ctx = p.building_mut()?;
-                    compose_into(
-                        ctx,
-                        &dispatch,
-                        &regions,
-                        &plans,
-                        &self.lib,
-                        &mut tuner,
-                        self.options.fallback_style,
-                    )?
-                };
-                p.counters.kernel_calls += kernel_calls;
-                p.finish()
-            }),
-        ]
+    /// The paper's Figure 3 pipeline after dispatch:
+    /// `region-formation` → `instruction-mapping` → `compose`.
+    fn lower(
+        &self,
+        mut ctx: GenContext<'_>,
+        dispatch: &[Dispatch],
+        stages: &mut Stages,
+    ) -> Result<Program, GenError> {
+        let s = stages.start("region-formation", &ctx.prog);
+        let (set, index) = self.instr_set_indexed(ctx.prog.arch);
+        let regions = form_regions_indexed(&ctx, dispatch, &set, &index);
+        let counters = StageCounters {
+            regions_formed: regions.len() as u64,
+            ..StageCounters::default()
+        };
+        stages.end(s, &ctx.prog, false, counters);
+
+        let s = stages.start("instruction-mapping", &ctx.prog);
+        let batch_opts = self.batch_options();
+        let mut counters = StageCounters::default();
+        let mut plans = Vec::with_capacity(regions.len());
+        for region in &regions {
+            let plan = plan_region_indexed(&ctx, region, &set, &index, batch_opts)?;
+            if let Some(steps) = plan.simd_step_count() {
+                counters.instructions_selected += steps as u64;
+                counters.nodes_fused += region.members.len().saturating_sub(steps) as u64;
+            }
+            plans.push(plan);
+        }
+        stages.end(s, &ctx.prog, false, counters);
+
+        let s = stages.start("compose", &ctx.prog);
+        let kernel_calls = compose_into(
+            &mut ctx,
+            dispatch,
+            &regions,
+            &plans,
+            &self.lib,
+            &mut self.tuner.borrow_mut(),
+            self.options.fallback_style,
+        )?;
+        let prog = ctx.finish();
+        let counters = StageCounters {
+            kernel_calls,
+            ..StageCounters::default()
+        };
+        stages.end(s, &prog, true, counters);
+        Ok(prog)
     }
 }
 

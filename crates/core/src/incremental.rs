@@ -38,7 +38,7 @@ use crate::batch::{form_regions_probed, plan_region_cached, PlanCache};
 use crate::dispatch::{classify, Dispatch};
 use crate::generator::{data_initialiser, debug_lint, CodeGenerator, GenContext, GenError};
 use crate::hcg::{compose_into, HcgGen, HcgOptions};
-use crate::pass::{PassManager, PipelineCtx};
+use crate::pass::run_stages;
 use hcg_isa::{Arch, CostOverlay};
 use hcg_kernels::{Autotuner, Meter};
 use hcg_model::delta::downstream_closure;
@@ -46,7 +46,6 @@ use hcg_model::op::ElemOp;
 use hcg_model::schedule::{schedule, Schedule};
 use hcg_model::{ActorId, DataType, FrontEnd, Model, ModelDelta, SignalType};
 use hcg_vm::{BufferId, Program};
-use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Work-avoidance counters for one [`EditSession`].
@@ -441,17 +440,16 @@ impl EditSession {
             }
             None => {
                 // Baseline generators are cheap (no instruction mapping):
-                // run the standard pipeline over the shared artifacts,
+                // run the standard driver over the shared artifacts,
                 // exactly like `CompileSession`.
-                let mut ctx = PipelineCtx::with_artifacts(
+                let ctx = GenContext::with_artifacts(
                     &self.model,
                     &fe.types,
                     &fe.schedule,
                     arch,
                     generator.name(),
                 )?;
-                ctx.dispatch = Some(Cow::Borrowed(dispatch));
-                Ok(PassManager::new(generator.passes()).run(ctx)?.0)
+                Ok(run_stages(generator, ctx, Some(dispatch))?.0)
             }
         }
     }

@@ -53,9 +53,7 @@ pub use generator::{
 };
 pub use hcg::{HcgGen, HcgOptions};
 pub use incremental::{EditSession, IncrementalStats};
-pub use pass::{
-    dispatch_pass, Pass, PassManager, PipelineCtx, StageCounters, StageRecord, StageReport,
-};
+pub use pass::{run_stages, StageCounters, StageRecord, StageReport, Stages};
 pub use reference::Reference;
 pub use search::{MappingSearch, MappingStrategy};
 pub use session::CompileSession;

@@ -1,22 +1,20 @@
-//! The staged pipeline layer: named generator [`Pass`]es run over a
-//! [`PipelineCtx`] by a [`PassManager`] that times every stage, gives
-//! each stage its own work counters, and runs the analyzer between stages.
+//! The stage driver: [`run_stages`] runs one generator's lowering and
+//! returns the finished [`Program`] with a [`StageReport`].
 //!
-//! Each [`crate::CodeGenerator`] describes itself as a list of passes
-//! (HCG: `dispatch` → `region-formation` → `instruction-mapping` →
-//! `compose`; the baselines have their own stage lists). The manager
-//! produces the final [`Program`] plus a [`StageReport`] — the per-stage
-//! breakdown behind `repro -- gentime`.
+//! Every generator is one straight-line lowering
+//! ([`crate::CodeGenerator::lower`]): HCG runs `region-formation` →
+//! `instruction-mapping` → `compose`, the baselines their own stages,
+//! each handing its results to the next as local values. The driver runs
+//! the shared `dispatch` stage first; a [`Stages`] recorder times each
+//! stage, takes its counters and statement delta, and lints the program
+//! as the stage left it. The report is the per-stage breakdown behind
+//! `repro -- gentime`.
 
-use crate::batch::{BatchRegion, RegionPlan};
 use crate::dispatch::{classify_all, Dispatch};
-use crate::generator::{debug_lint_stage, GenContext, GenError};
-use hcg_isa::{Arch, InstrIndex, InstrSet};
-use hcg_model::schedule::Schedule;
-use hcg_model::{Model, TypeMap};
+use crate::generator::{debug_lint_stage, debug_verify, CodeGenerator, GenContext, GenError};
+use hcg_isa::Arch;
+use hcg_obs::SpanGuard;
 use hcg_vm::{Program, Stmt};
-use std::borrow::Cow;
-use std::fmt;
 use std::time::Instant;
 
 /// Work counters of one pipeline stage. Each [`StageRecord`] stores what
@@ -141,299 +139,105 @@ impl StageReport {
     }
 }
 
-/// The program as it moves through the pipeline: under construction inside
-/// a [`GenContext`], then finished.
+/// Records the stages of one pipeline run: each stage's `pass` span
+/// (named `{generator}/{stage}`), wall-clock time, counters, statement
+/// delta and inter-stage lint verdict.
 #[derive(Debug)]
-enum Built<'m> {
-    Building(GenContext<'m>),
-    Finished(Program),
+pub struct Stages {
+    generator: &'static str,
+    records: Vec<StageRecord>,
 }
 
-/// Everything a pass can see and mutate: the program under construction,
-/// shared scratch artifacts handed from stage to stage, and the run's
-/// counters.
+/// A stage opened by [`Stages::start`]; hand it back to [`Stages::end`].
 #[derive(Debug)]
-pub struct PipelineCtx<'m> {
-    built: Option<Built<'m>>,
-    /// Dispatch classification — pre-seeded (borrowed) by a
-    /// [`crate::CompileSession`], or computed by [`dispatch_pass`].
-    pub dispatch: Option<Cow<'m, [Dispatch]>>,
-    /// Batch regions, produced by a region-formation stage.
-    pub regions: Option<Vec<BatchRegion>>,
-    /// Per-region emission plans, parallel to `regions`.
-    pub plans: Option<Vec<RegionPlan>>,
-    /// The instruction set resolved for the target. Borrowed from the
-    /// process-wide [`hcg_isa::sets::builtin_indexed`] statics unless the
-    /// generator overrides the set, so concurrent fleet jobs share one
-    /// parse.
-    pub instr_set: Option<Cow<'static, InstrSet>>,
-    /// Pre-bucketed lookup over `instr_set`, built once (or borrowed from
-    /// the shared statics) by the region-formation stage and reused by
-    /// every mapping query.
-    pub instr_index: Option<Cow<'static, InstrIndex>>,
-    /// Work counters of the running stage; the manager moves them into
-    /// that stage's [`StageRecord`] when the stage ends.
-    pub counters: StageCounters,
-}
-
-impl<'m> PipelineCtx<'m> {
-    /// A standalone context: computes type inference and schedule on the
-    /// spot (the compatibility path behind [`crate::CodeGenerator::generate`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GenError`] when the model is invalid.
-    pub fn standalone(model: &'m Model, arch: Arch, generator: &str) -> Result<Self, GenError> {
-        Ok(Self::from_ctx(GenContext::new(model, arch, generator)?))
-    }
-
-    /// A context over session-cached artifacts (no recomputation).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GenError`] when buffer allocation fails.
-    pub fn with_artifacts(
-        model: &'m Model,
-        types: &'m TypeMap,
-        schedule: &'m Schedule,
-        arch: Arch,
-        generator: &str,
-    ) -> Result<Self, GenError> {
-        Ok(Self::from_ctx(GenContext::with_artifacts(
-            model, types, schedule, arch, generator,
-        )?))
-    }
-
-    fn from_ctx(ctx: GenContext<'m>) -> Self {
-        PipelineCtx {
-            built: Some(Built::Building(ctx)),
-            dispatch: None,
-            regions: None,
-            plans: None,
-            instr_set: None,
-            instr_index: None,
-            counters: StageCounters::default(),
-        }
-    }
-
-    /// The generation context (program under construction).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GenError::Internal`] when the pipeline already finished.
-    pub fn building(&self) -> Result<&GenContext<'m>, GenError> {
-        match &self.built {
-            Some(Built::Building(ctx)) => Ok(ctx),
-            _ => Err(GenError::Internal(
-                "pipeline is not in the building state".into(),
-            )),
-        }
-    }
-
-    /// Mutable access to the generation context.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GenError::Internal`] when the pipeline already finished.
-    pub fn building_mut(&mut self) -> Result<&mut GenContext<'m>, GenError> {
-        match &mut self.built {
-            Some(Built::Building(ctx)) => Ok(ctx),
-            _ => Err(GenError::Internal(
-                "pipeline is not in the building state".into(),
-            )),
-        }
-    }
-
-    /// The finished program, for post-composition passes (e.g. loop
-    /// folding).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GenError::Internal`] before [`PipelineCtx::finish`] ran.
-    pub fn program_mut(&mut self) -> Result<&mut Program, GenError> {
-        match &mut self.built {
-            Some(Built::Finished(prog)) => Ok(prog),
-            _ => Err(GenError::Internal("pipeline has not finished yet".into())),
-        }
-    }
-
-    /// Target architecture.
-    pub fn arch(&self) -> Arch {
-        self.current_program().arch
-    }
-
-    /// The dispatch classification, whoever computed it.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GenError::Internal`] when no dispatch stage ran.
-    pub fn dispatch_slice(&self) -> Result<&[Dispatch], GenError> {
-        self.dispatch
-            .as_deref()
-            .ok_or_else(|| GenError::Internal("dispatch classification not computed".into()))
-    }
-
-    /// Take ownership of the dispatch classification (compose stages
-    /// consume it to avoid borrow conflicts with the context).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GenError::Internal`] when no dispatch stage ran.
-    pub fn take_dispatch(&mut self) -> Result<Cow<'m, [Dispatch]>, GenError> {
-        self.dispatch
-            .take()
-            .ok_or_else(|| GenError::Internal("dispatch classification not computed".into()))
-    }
-
-    /// Run [`GenContext::finish`] (outport copies, delay latches) and move
-    /// the pipeline into the finished state.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GenError::Internal`] when called twice.
-    pub fn finish(&mut self) -> Result<(), GenError> {
-        match self.built.take() {
-            Some(Built::Building(ctx)) => {
-                self.built = Some(Built::Finished(ctx.finish()));
-                Ok(())
-            }
-            other => {
-                self.built = other;
-                Err(GenError::Internal("pipeline already finished".into()))
-            }
-        }
-    }
-
-    /// Whether [`PipelineCtx::finish`] has run.
-    pub fn is_finished(&self) -> bool {
-        matches!(self.built, Some(Built::Finished(_)))
-    }
-
-    /// The program as it currently stands (building or finished).
-    ///
-    /// # Panics
-    ///
-    /// Panics if called re-entrantly from within [`PipelineCtx::finish`]
-    /// (not possible from pass code).
-    pub fn current_program(&self) -> &Program {
-        match self.built.as_ref().expect("pipeline state present") {
-            Built::Building(ctx) => &ctx.prog,
-            Built::Finished(prog) => prog,
-        }
-    }
-
-    fn into_program(self) -> Result<Program, GenError> {
-        match self.built {
-            Some(Built::Finished(prog)) => Ok(prog),
-            _ => Err(GenError::Internal(
-                "pipeline ended without a finished program — the generator's last pass must call finish()".into(),
-            )),
-        }
-    }
-}
-
-/// The boxed stage function a [`Pass`] runs over the pipeline context.
-pub type PassFn<'g> = Box<dyn Fn(&mut PipelineCtx<'_>) -> Result<(), GenError> + 'g>;
-
-/// One named pipeline stage.
-pub struct Pass<'g> {
+#[must_use = "a stage is recorded only when passed to `Stages::end`"]
+pub struct OpenStage {
     name: &'static str,
-    run: PassFn<'g>,
+    stmts_before: usize,
+    span: SpanGuard,
+    started: Instant,
 }
 
-impl<'g> Pass<'g> {
-    /// A pass from a name and a stage function.
-    pub fn new<F>(name: &'static str, run: F) -> Self
-    where
-        F: Fn(&mut PipelineCtx<'_>) -> Result<(), GenError> + 'g,
-    {
-        Pass {
+impl Stages {
+    /// Open stage `name` over the program as it stands before the stage.
+    pub fn start(&self, name: &'static str, prog: &Program) -> OpenStage {
+        let stmts_before = stmt_count(&prog.body);
+        let span = hcg_obs::span_with("pass", || format!("{}/{name}", self.generator));
+        OpenStage {
             name,
-            run: Box::new(run),
+            stmts_before,
+            span,
+            started: Instant::now(),
         }
     }
 
-    /// The stage name as shown in reports.
-    pub fn name(&self) -> &'static str {
-        self.name
+    /// Close `stage` over the program as the stage left it: record its
+    /// time, `counters` and statement delta, and run the inter-stage lint
+    /// (`finished` once the program is complete).
+    pub fn end(
+        &mut self,
+        stage: OpenStage,
+        prog: &Program,
+        finished: bool,
+        counters: StageCounters,
+    ) {
+        let micros = stage.started.elapsed().as_micros() as u64;
+        drop(stage.span);
+        let lint_warnings = debug_lint_stage(prog, finished);
+        self.records.push(StageRecord {
+            name: stage.name,
+            micros,
+            counters,
+            stmts_emitted: stmt_count(&prog.body).saturating_sub(stage.stmts_before) as u64,
+            lint_warnings,
+        });
     }
 }
 
-impl fmt::Debug for Pass<'_> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Pass").field("name", &self.name).finish()
-    }
-}
-
-/// The shared `dispatch` stage: classify every actor unless a session
-/// already seeded the classification, and count the actors routed through
-/// dispatch either way.
-pub fn dispatch_pass<'g>() -> Pass<'g> {
-    Pass::new("dispatch", |p| {
-        if p.dispatch.is_none() {
-            let ctx = p.building()?;
-            let d = classify_all(ctx.model, &ctx.types);
-            p.dispatch = Some(Cow::Owned(d));
+/// Run `generator` over `ctx`: the shared `dispatch` stage (classifying
+/// every actor unless the caller passes a cached classification), then
+/// the generator's [`lower`](CodeGenerator::lower), inside one `pipeline`
+/// span. Returns the finished program with its stage report.
+///
+/// # Errors
+///
+/// Returns the first error of the generator's lowering.
+pub fn run_stages<G: CodeGenerator + ?Sized>(
+    generator: &G,
+    ctx: GenContext<'_>,
+    dispatch: Option<&[Dispatch]>,
+) -> Result<(Program, StageReport), GenError> {
+    let model = ctx.model;
+    let arch = ctx.prog.arch;
+    let name = generator.name();
+    let _run_span = hcg_obs::span_with("pipeline", || format!("{name}/{}@{arch}", model.name));
+    let mut stages = Stages {
+        generator: name,
+        records: Vec::with_capacity(4),
+    };
+    let s = stages.start("dispatch", &ctx.prog);
+    let classified;
+    let dispatch = match dispatch {
+        Some(d) => d,
+        None => {
+            classified = classify_all(model, &ctx.types);
+            &classified
         }
-        p.counters.actors_dispatched += p.dispatch_slice()?.len() as u64;
-        Ok(())
-    })
-}
-
-/// Runs the generator passes in order, timing each one, taking its
-/// counters and statement delta, and invoking the inter-pass lint hook.
-#[derive(Debug)]
-pub struct PassManager<'g> {
-    passes: Vec<Pass<'g>>,
-}
-
-impl<'g> PassManager<'g> {
-    /// A manager over a generator's pass list.
-    pub fn new(passes: Vec<Pass<'g>>) -> Self {
-        PassManager { passes }
-    }
-
-    /// Run all passes over `ctx` and return the finished program with its
-    /// stage report.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first pass error, or [`GenError::Internal`] when the
-    /// last pass leaves the pipeline unfinished.
-    pub fn run(self, mut ctx: PipelineCtx<'_>) -> Result<(Program, StageReport), GenError> {
-        let (generator, model) = {
-            let prog = ctx.current_program();
-            (prog.generator.clone(), prog.name.clone())
-        };
-        let arch = ctx.arch();
-        let _run_span = hcg_obs::span_with("pipeline", || format!("{generator}/{model}@{arch}"));
-        let mut stages = Vec::with_capacity(self.passes.len());
-        for pass in &self.passes {
-            let stmts_before = stmt_count(&ctx.current_program().body);
-            let pass_span = hcg_obs::span_with("pass", || format!("{generator}/{}", pass.name));
-            let t0 = Instant::now();
-            (pass.run)(&mut ctx)?;
-            let micros = t0.elapsed().as_micros() as u64;
-            drop(pass_span);
-            let counters = std::mem::take(&mut ctx.counters);
-            let prog = ctx.current_program();
-            let lint_warnings = debug_lint_stage(prog, ctx.is_finished());
-            stages.push(StageRecord {
-                name: pass.name,
-                micros,
-                counters,
-                stmts_emitted: (stmt_count(&prog.body).saturating_sub(stmts_before)) as u64,
-                lint_warnings,
-            });
-        }
-        let report = StageReport {
-            generator,
-            model,
-            arch,
-            stages,
-        };
-        Ok((ctx.into_program()?, report))
-    }
+    };
+    let counters = StageCounters {
+        actors_dispatched: dispatch.len() as u64,
+        ..StageCounters::default()
+    };
+    stages.end(s, &ctx.prog, false, counters);
+    let prog = generator.lower(ctx, dispatch, &mut stages)?;
+    debug_verify(model, &prog);
+    let report = StageReport {
+        generator: name.to_owned(),
+        model: model.name.clone(),
+        arch,
+        stages: stages.records,
+    };
+    Ok((prog, report))
 }
 
 /// Total statement count, descending into loop bodies.
@@ -444,61 +248,4 @@ fn stmt_count(body: &[Stmt]) -> usize {
             _ => 1,
         })
         .sum()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use hcg_model::library;
-
-    #[test]
-    fn manager_times_and_orders_stages() {
-        use crate::conventional::{emit_conventional, LoopStyle};
-        use hcg_model::ActorKind;
-        let m = library::fig4_model();
-        let ctx = PipelineCtx::standalone(&m, Arch::Neon128, "test").unwrap();
-        let passes = vec![
-            dispatch_pass(),
-            Pass::new("compose", |p: &mut PipelineCtx<'_>| {
-                let ctx = p.building_mut()?;
-                for idx in 0..ctx.schedule.order.len() {
-                    let aid = ctx.schedule.order[idx];
-                    let actor = ctx.model.actor(aid).clone();
-                    if matches!(
-                        actor.kind,
-                        ActorKind::Inport
-                            | ActorKind::Outport
-                            | ActorKind::Constant
-                            | ActorKind::UnitDelay
-                    ) {
-                        continue;
-                    }
-                    emit_conventional(ctx, &actor, LoopStyle::LOOPS)?;
-                }
-                p.finish()
-            }),
-        ];
-        let (prog, report) = PassManager::new(passes).run(ctx).unwrap();
-        assert_eq!(report.stages.len(), 2);
-        assert_eq!(report.stages[0].name, "dispatch");
-        assert_eq!(report.stages[1].name, "compose");
-        assert_eq!(
-            report.stages[0].counters.actors_dispatched,
-            m.actors.len() as u64
-        );
-        // finish() emitted the outport copies.
-        assert!(report.stages[1].stmts_emitted > 0);
-        assert_eq!(prog.name, m.name);
-        assert!(report.render().contains("dispatch"));
-    }
-
-    #[test]
-    fn unfinished_pipeline_is_an_error() {
-        let m = library::fig4_model();
-        let ctx = PipelineCtx::standalone(&m, Arch::Neon128, "test").unwrap();
-        let err = PassManager::new(vec![dispatch_pass()])
-            .run(ctx)
-            .unwrap_err();
-        assert!(matches!(err, GenError::Internal(_)));
-    }
 }

@@ -76,7 +76,7 @@ impl<'m> Reference<'m> {
         }
 
         for &aid in &self.order.order.clone() {
-            let actor = self.model.actor(aid).clone();
+            let actor = self.model.actor(aid);
             let input_of =
                 |values: &BTreeMap<ActorId, Tensor>, p: usize| -> Result<Tensor, GenError> {
                     let src = self

@@ -122,11 +122,9 @@ struct BeamNode {
 
 /// The beam-search region-mapping engine (see module docs).
 ///
-/// Borrowed over one `(set, index, lanes)` configuration; [`run`] maps one
+/// Borrowed over one `(set, index, lanes)` configuration; `run` maps one
 /// region dataflow graph per call. Construction is free — all state lives
 /// per run.
-///
-/// [`run`]: MappingSearch::run
 #[derive(Debug)]
 pub struct MappingSearch<'a> {
     set: &'a InstrSet,

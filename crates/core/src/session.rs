@@ -5,18 +5,17 @@
 //! The evaluation fleet drives three generators over multiple targets per
 //! model; without a session each `generate` call re-runs type inference,
 //! scheduling and dispatch classification. A session computes each artifact
-//! at most once (verifiable via [`hcg_model::stats`]) and lends it to the
-//! pipeline as borrowed [`std::borrow::Cow`]s, producing byte-identical
-//! programs to the standalone path.
+//! at most once (verifiable via [`hcg_model::stats`]) and lends it to
+//! [`run_stages`] — the driver behind the standalone path too — by
+//! reference, producing byte-identical programs.
 
 use crate::dispatch::{classify_all, Dispatch};
-use crate::generator::{CodeGenerator, GenError};
-use crate::pass::{PassManager, PipelineCtx, StageReport};
+use crate::generator::{CodeGenerator, GenContext, GenError};
+use crate::pass::{run_stages, StageReport};
 use hcg_isa::Arch;
 use hcg_model::schedule::Schedule;
 use hcg_model::{FrontEnd, Model, ModelDelta, TypeMap};
 use hcg_vm::Program;
-use std::borrow::Cow;
 use std::sync::OnceLock;
 
 /// A compilation session owning one model and its cached front-end
@@ -154,8 +153,9 @@ impl CompileSession {
     }
 
     /// Generate code through the session cache, returning the per-stage
-    /// report. The pipeline borrows every cached artifact — no front-end
-    /// work is repeated across generators or architectures.
+    /// report. [`run_stages`] borrows every cached artifact, the dispatch
+    /// classification included — no front-end work is repeated across
+    /// generators or architectures.
     ///
     /// # Errors
     ///
@@ -167,15 +167,14 @@ impl CompileSession {
     ) -> Result<(Program, StageReport), GenError> {
         let fe = self.front_end()?;
         let dispatch = self.dispatch()?;
-        let mut ctx = PipelineCtx::with_artifacts(
+        let ctx = GenContext::with_artifacts(
             &self.model,
             &fe.types,
             &fe.schedule,
             arch,
             generator.name(),
         )?;
-        ctx.dispatch = Some(Cow::Borrowed(dispatch));
-        PassManager::new(generator.passes()).run(ctx)
+        run_stages(generator, ctx, Some(dispatch))
     }
 }
 

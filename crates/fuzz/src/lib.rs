@@ -12,7 +12,7 @@
 //!    golden reference with shared seeded inputs, and checks the repo's
 //!    metamorphic invariants (XML round-trip, indexed-vs-linear
 //!    instruction selection, 1-vs-N-thread fleet identity);
-//! 3. [`shrink`] delta-debugs any failing model down to a minimal repro;
+//! 3. [`shrink`](mod@shrink) delta-debugs any failing model down to a minimal repro;
 //! 4. [`corpus`] stores minimized repros as committed XML replayed by a
 //!    tier-1 test;
 //! 5. [`run_fuzz`] fans cases across the [`hcg_exec`] pool and renders a

@@ -179,7 +179,7 @@ fn find_all_indexed_pos(
         .collect()
 }
 
-/// [`find_all_indexed_pos`] with the instructions resolved against `set`:
+/// `find_all_indexed_pos` with the instructions resolved against `set`:
 /// all matches for `tree`, cheapest first.
 pub fn find_all_instructions_indexed<'a>(
     set: &'a InstrSet,

@@ -18,6 +18,9 @@ cargo test -q --workspace
 echo "==> cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> cargo doc (deny warnings: broken or private intra-doc links fail)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 echo "==> ledger benchmark: build and test against these crates (--locked: ledger/Cargo.lock must stay valid)"
 CARGO_TARGET_DIR=.bench_build cargo build --release --offline --locked \
     --manifest-path ledger/Cargo.toml
