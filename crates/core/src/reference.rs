@@ -75,7 +75,7 @@ impl<'m> Reference<'m> {
             values.insert(aid, v.clone());
         }
 
-        for &aid in &self.order.order.clone() {
+        for &aid in &self.order.order {
             let actor = self.model.actor(aid);
             let input_of =
                 |values: &BTreeMap<ActorId, Tensor>, p: usize| -> Result<Tensor, GenError> {
