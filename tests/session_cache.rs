@@ -223,41 +223,77 @@ fn every_driver_reports_the_same_stages() {
     }
 }
 
+/// Serialises the tests that flip the process-wide tracing flag.
+static TRACING: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+/// Run `compile` with tracing on under trace `trace_id` and return the
+/// names of the `pipeline` and `pass` spans it recorded, in order.
+fn traced_spans(trace_id: u64, compile: impl FnOnce()) -> (Vec<String>, Vec<String>) {
+    let _lock = TRACING.lock().unwrap_or_else(|e| e.into_inner());
+    hcg_obs::set_tracing(true);
+    {
+        let _scope = hcg_obs::trace_scope(hcg_obs::TraceContext {
+            trace_id,
+            parent: 0,
+        });
+        compile();
+    }
+    hcg_obs::set_tracing(false);
+    let events: Vec<_> = hcg_obs::take_events()
+        .into_iter()
+        .filter(|e| e.trace_id == trace_id)
+        .collect();
+    let named = |cat: &str| -> Vec<String> {
+        events
+            .iter()
+            .filter(|e| e.cat == cat)
+            .map(|e| e.name.clone())
+            .collect()
+    };
+    (named("pipeline"), named("pass"))
+}
+
+/// The span names one HCG compile of `model` on `arch` records.
+fn expected_hcg_spans(model: &hcg_model::Model, arch: Arch) -> (Vec<String>, Vec<String>) {
+    let passes = expected_stages("hcg")
+        .iter()
+        .map(|s| format!("hcg/{s}"))
+        .collect();
+    (vec![format!("hcg/{}@{arch}", model.name)], passes)
+}
+
 /// With tracing on, one HCG compile records one `pipeline` span and one
 /// `pass` span per stage, named `hcg/<stage>` — the categories
 /// `repro -- profile` counts.
 #[test]
 fn traced_generate_records_pipeline_and_pass_spans() {
-    const TRACE_ID: u64 = 0x5ea_c0de;
     let model = library::fig4_model();
     let hcg = HcgGen::new();
-    hcg_obs::set_tracing(true);
-    {
-        let _scope = hcg_obs::trace_scope(hcg_obs::TraceContext {
-            trace_id: TRACE_ID,
-            parent: 0,
-        });
+    let spans = traced_spans(0x5ea_c0de, || {
         hcg.generate(&model, Arch::Neon128).expect("generates");
-    }
-    hcg_obs::set_tracing(false);
-    let events: Vec<_> = hcg_obs::take_events()
-        .into_iter()
-        .filter(|e| e.trace_id == TRACE_ID)
-        .collect();
-    let pipelines: Vec<&str> = events
-        .iter()
-        .filter(|e| e.cat == "pipeline")
-        .map(|e| e.name.as_str())
-        .collect();
-    assert_eq!(pipelines, [format!("hcg/{}@{}", model.name, Arch::Neon128)]);
-    let passes: Vec<&str> = events
-        .iter()
-        .filter(|e| e.cat == "pass")
-        .map(|e| e.name.as_str())
-        .collect();
-    let expected: Vec<String> = expected_stages("hcg")
-        .iter()
-        .map(|s| format!("hcg/{s}"))
-        .collect();
-    assert_eq!(passes, expected);
+    });
+    assert_eq!(spans, expected_hcg_spans(&model, Arch::Neon128));
+}
+
+/// An `EditSession` regenerate after a code-shaping edit runs the same
+/// stage driver as a scratch compile: inside a trace scope it records one
+/// `pipeline` span and the four `hcg/<stage>` `pass` spans.
+#[test]
+fn traced_edit_session_regenerate_records_pipeline_and_pass_spans() {
+    use hcg_model::delta::EditOp;
+    use hcg_model::{ModelDelta, Param};
+    let hcg = HcgGen::new();
+    let mut session = hcg_core::EditSession::new(library::fig4_model());
+    session.generate(&hcg, Arch::Neon128).expect("generates");
+    session
+        .apply_delta(&ModelDelta::single(EditOp::SetParam {
+            name: "Shr".into(),
+            param: "amount".into(),
+            value: Param::Int(2),
+        }))
+        .expect("edit applies");
+    let spans = traced_spans(0xed17_c0de, || {
+        session.generate(&hcg, Arch::Neon128).expect("regenerates");
+    });
+    assert_eq!(spans, expected_hcg_spans(session.model(), Arch::Neon128));
 }
