@@ -437,7 +437,7 @@ fn fusion_cmd() {
 }
 
 fn incremental_cmd(args: &cli::CommonArgs) {
-    heading("Incremental recompilation — edit-recompile vs from-scratch, dirty-region splicing");
+    heading("Incremental recompilation — edit-recompile vs from-scratch, data patching");
     let cfg = IncrementalBenchConfig {
         edits: args.edits,
         seed: args.seed,
@@ -450,15 +450,12 @@ fn incremental_cmd(args: &cli::CommonArgs) {
         fleet::FLEET_ARCHES.len()
     );
     outln!(
-        "  {:>10} {:>6} {:>14} {:>14} {:>9} {:>10} {:>12} {:>9} {:>9}",
+        "  {:>10} {:>6} {:>14} {:>14} {:>9} {:>9}",
         "Model",
         "edits",
         "incr(ms)",
         "scratch(ms)",
         "speedup",
-        "admitted",
-        "invalidated",
-        "spliced",
         "patched"
     );
     let all_identical = rows.iter().all(|r| r.identical);
@@ -467,15 +464,12 @@ fn incremental_cmd(args: &cli::CommonArgs) {
         inc_total += r.incremental.as_secs_f64();
         scratch_total += r.scratch.as_secs_f64();
         outln!(
-            "  {:>10} {:>6} {:>14.2} {:>14.2} {:>8.2}x {:>10} {:>12} {:>9} {:>9}",
+            "  {:>10} {:>6} {:>14.2} {:>14.2} {:>8.2}x {:>9}",
             r.model,
             r.edits,
             r.incremental.as_secs_f64() * 1e3,
             r.scratch.as_secs_f64() * 1e3,
             r.speedup(),
-            r.regions_admitted,
-            r.regions_invalidated,
-            r.plans_spliced,
             r.programs_patched
         );
     }
@@ -483,11 +477,8 @@ fn incremental_cmd(args: &cli::CommonArgs) {
     outln!("  overall speedup: {overall:.2}x (scratch {scratch_total:.3}s / incremental {inc_total:.3}s)");
     outln!("  incremental programs identical to scratch: {all_identical}");
     outln!(
-        "  metrics: {} edits applied, {} regions admitted, {} invalidated, {} plans spliced, {} programs patched",
+        "  metrics: {} edits applied, {} programs patched",
         rows.iter().map(|r| r.edits).sum::<usize>(),
-        rows.iter().map(|r| r.regions_admitted).sum::<u64>(),
-        rows.iter().map(|r| r.regions_invalidated).sum::<u64>(),
-        rows.iter().map(|r| r.plans_spliced).sum::<u64>(),
         rows.iter().map(|r| r.programs_patched).sum::<u64>()
     );
     if let Some(path) = &args.json {

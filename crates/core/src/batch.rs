@@ -13,7 +13,7 @@ use hcg_isa::{InstrIndex, InstrSet, Pattern, PatternArg, SimdInstr, SHIFT_ANY};
 use hcg_model::op::ElemOp;
 use hcg_model::{ActorId, DataType, PortRef};
 use hcg_vm::{BufferId, ElemRef, IndexExpr, RegId, ScalarOp, Stmt};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 /// A maximal group of interconnected batch computing actors sharing one
 /// element type and one array length (paper §3.2.2, dataflow graph
@@ -27,23 +27,6 @@ pub struct BatchRegion {
     pub dtype: DataType,
     /// Shared array length.
     pub len: usize,
-    /// Actors whose output values the region consumes: the members plus
-    /// every external producer feeding a member input (the read half of an
-    /// `hcg-verify` `EffectSummary`, at actor rather than buffer
-    /// granularity). Incremental recompilation invalidates a region when
-    /// this set intersects the dirty actors of an edit.
-    pub reads: BTreeSet<ActorId>,
-    /// Actors whose buffers the region writes: exactly its members.
-    pub writes: BTreeSet<ActorId>,
-}
-
-impl BatchRegion {
-    /// True when an edit dirtying `dirty` forces this region's plan to be
-    /// recomputed: some actor the region reads or writes is dirty.
-    pub fn touches(&self, dirty: &BTreeSet<ActorId>) -> bool {
-        self.writes.iter().any(|a| dirty.contains(a))
-            || self.reads.iter().any(|a| dirty.contains(a))
-    }
 }
 
 /// Form the batch regions of a model.
@@ -64,22 +47,6 @@ pub fn form_regions_indexed(
     // One probe per distinct (op, dtype) — models repeat actor kinds, so
     // the cache collapses per-actor probes to a handful of matches.
     let mut probed: BTreeMap<(ElemOp, DataType), bool> = BTreeMap::new();
-    form_regions_probed(ctx, dispatch, set, index, &mut probed)
-}
-
-/// [`form_regions_indexed`] with a caller-owned probe memo, so an
-/// incremental session recompiling the same model after every edit pays
-/// each (op, dtype) instruction-availability probe only once across its
-/// lifetime. Probe results depend only on the instruction set, never on
-/// the model, so the memo stays valid across edits (but must not be shared
-/// between different instruction sets).
-pub fn form_regions_probed(
-    ctx: &GenContext<'_>,
-    dispatch: &[Dispatch],
-    set: &InstrSet,
-    index: &InstrIndex,
-    probed: &mut BTreeMap<(ElemOp, DataType), bool>,
-) -> Vec<BatchRegion> {
     let arch = ctx.prog.arch;
     let mut qualifies = |id: ActorId| -> Option<(ElemOp, DataType, usize)> {
         let Dispatch::Batch { op, len } = dispatch[id.0] else {
@@ -161,23 +128,12 @@ pub fn form_regions_probed(
                     members: vec![aid],
                     dtype,
                     len,
-                    reads: BTreeSet::new(),
-                    writes: BTreeSet::new(),
                 });
             }
         }
     }
     for r in &mut regions {
         r.members.sort_by_key(|a| pos[a.0]);
-        r.writes = r.members.iter().copied().collect();
-        r.reads = r.writes.clone();
-        for &aid in &r.members {
-            for p in 0..ctx.model.actor(aid).kind.input_count() {
-                if let Some(src) = ctx.model.driver(hcg_model::PortRef::new(aid, p)) {
-                    r.reads.insert(src.actor);
-                }
-            }
-        }
     }
     regions
 }
@@ -438,20 +394,6 @@ pub fn plan_region_indexed(
     index: &InstrIndex,
     options: BatchOptions,
 ) -> Result<RegionPlan, GenError> {
-    plan_with(ctx, region, options, |g, lanes| {
-        map_graph_with(g, set, index, lanes, options)
-    })
-}
-
-/// The one planning body behind [`plan_region_indexed`] and
-/// [`plan_region_cached`]; `map` supplies the step list for the region's
-/// dataflow graph at its lane count.
-fn plan_with(
-    ctx: &GenContext<'_>,
-    region: &BatchRegion,
-    options: BatchOptions,
-    map: impl FnOnce(&Dfg, usize) -> Result<Vec<PlanStep>, GenError>,
-) -> Result<RegionPlan, GenError> {
     let arch = ctx.prog.arch;
     // Line 1: BatchSize = VectorWidth / DataBitWidth.
     let lanes = arch.lanes(region.dtype);
@@ -467,7 +409,7 @@ fn plan_with(
     }
 
     let (g, externals) = build_dfg(ctx, region)?;
-    let steps = map(&g, lanes)?;
+    let steps = map_graph_with(&g, set, index, lanes, options)?;
     let redirect_outports = output_redirects(ctx, &g)?;
     Ok(RegionPlan {
         kind: RegionPlanKind::Simd {
@@ -493,139 +435,6 @@ fn output_redirects(ctx: &GenContext<'_>, g: &Dfg) -> Result<Vec<(NodeId, ActorI
         }
     }
     Ok(redirect_outports)
-}
-
-/// A memo of instruction-mapping results keyed by region *structure*, the
-/// expensive-to-recompute half of [`plan_region_indexed`].
-///
-/// The key (see `region_signature`) encodes everything Algorithm 2's
-/// mapping loop reads: element type, array length, lane count (via the
-/// arch), candidate order, and the region graph's ops and wiring shape.
-/// Buffer identities and node labels are deliberately excluded — they feed
-/// emission, which [`plan_region_cached`] always rebuilds fresh — so a
-/// structurally unchanged region keeps its plan across model edits, and
-/// two isomorphic regions of one model share a single mapping run. Cached
-/// plans are only valid for the instruction set they were computed on —
-/// the arch's set with one cost overlay — so [`crate::EditSession`] keeps
-/// one cache per (arch, overlay fingerprint).
-#[derive(Debug, Default)]
-pub struct PlanCache {
-    steps: BTreeMap<String, Vec<PlanStep>>,
-    /// Mapping runs served from the cache since creation.
-    pub hits: u64,
-    /// Mapping runs that had to execute Algorithm 2's loop.
-    pub misses: u64,
-}
-
-impl PlanCache {
-    /// Number of distinct region structures cached.
-    pub fn len(&self) -> usize {
-        self.steps.len()
-    }
-
-    /// True when nothing has been cached yet.
-    pub fn is_empty(&self) -> bool {
-        self.steps.is_empty()
-    }
-}
-
-/// Structural signature of a region for [`PlanCache`] lookup. Members are
-/// encoded in order as their op (shift amounts included) plus the wiring of
-/// each input — `N<i>` for the output of member `i`, `E<k>` for external
-/// slot `k` (slots numbered by first occurrence, mirroring
-/// [`build_dfg`]'s dedup order) — and a `!` marker on members whose value
-/// leaves the region. Identical signatures therefore yield identical
-/// dataflow graphs up to node labels, which the mapping loop never reads.
-/// The key records the [`MappingStrategy`] that produced the plan, so
-/// greedy and beam plans for one region structure never alias in the
-/// cache.
-fn region_signature(
-    ctx: &GenContext<'_>,
-    region: &BatchRegion,
-    order: MatchOrder,
-    mapping: MappingStrategy,
-) -> String {
-    use std::fmt::Write as _;
-    let member_index: BTreeMap<ActorId, usize> = region
-        .members
-        .iter()
-        .enumerate()
-        .map(|(i, &a)| (a, i))
-        .collect();
-    let mut ext_slot: BTreeMap<ActorId, usize> = BTreeMap::new();
-    let mut s = String::new();
-    let _ = write!(
-        s,
-        "{}|{}|{}|{:?}|{}",
-        ctx.prog.arch,
-        region.dtype,
-        region.len,
-        order,
-        mapping.label()
-    );
-    for &aid in &region.members {
-        let actor = ctx.model.actor(aid);
-        let amount = actor.param("amount").and_then(|p| p.as_int()).unwrap_or(0) as u32;
-        let op = ElemOp::from_actor(actor.kind, amount);
-        let _ = write!(s, ";{op:?}@");
-        for p in 0..actor.kind.input_count() {
-            if p > 0 {
-                s.push(',');
-            }
-            match ctx.model.driver(PortRef::new(aid, p)).map(|src| src.actor) {
-                Some(src) if member_index.contains_key(&src) => {
-                    let _ = write!(s, "N{}", member_index[&src]);
-                }
-                Some(src) => {
-                    let next = ext_slot.len();
-                    let slot = *ext_slot.entry(src).or_insert(next);
-                    let _ = write!(s, "E{slot}");
-                }
-                None => s.push('?'),
-            }
-        }
-        let consumers = ctx.model.consumers(PortRef::new(aid, 0));
-        let leaves = consumers.is_empty()
-            || consumers
-                .iter()
-                .any(|c| !member_index.contains_key(&c.actor));
-        if leaves {
-            s.push('!');
-        }
-    }
-    s
-}
-
-/// [`plan_region_indexed`] backed by a [`PlanCache`]: the dataflow graph,
-/// externals and outport redirects are rebuilt fresh (they are cheap and
-/// carry buffer identities), while the mapping loop's step list is reused
-/// when the region's structure was planned before. With `cache` only ever
-/// fed plans computed over `set`, the result is identical to the uncached
-/// planner — splicing a cached plan into a recompile is byte-exact by
-/// construction.
-///
-/// # Errors
-///
-/// Returns [`GenError`] when the region graph cannot be built or mapped.
-pub fn plan_region_cached(
-    ctx: &GenContext<'_>,
-    region: &BatchRegion,
-    set: &InstrSet,
-    index: &InstrIndex,
-    options: BatchOptions,
-    cache: &mut PlanCache,
-) -> Result<RegionPlan, GenError> {
-    plan_with(ctx, region, options, |g, lanes| {
-        let key = region_signature(ctx, region, options.match_order, options.mapping);
-        if let Some(steps) = cache.steps.get(&key) {
-            cache.hits += 1;
-            return Ok(steps.clone());
-        }
-        cache.misses += 1;
-        let steps = map_graph_with(g, set, index, lanes, options)?;
-        cache.steps.insert(key, steps.clone());
-        Ok(steps)
-    })
 }
 
 /// Realise a region plan: the mutating half of Algorithm 2 (register
@@ -1006,56 +815,6 @@ mod tests {
             let regions = regions_of(&ctx);
             assert_eq!(regions.len(), expect_regions, "{dtype}");
         }
-    }
-
-    #[test]
-    fn regions_record_read_write_effects() {
-        let m = library::fig4_model();
-        let ctx = ctx_for(&m, Arch::Neon128);
-        let regions = regions_of(&ctx);
-        let r = &regions[0];
-        assert_eq!(r.writes, r.members.iter().copied().collect());
-        // Reads cover the members plus their external inport drivers.
-        assert!(r.writes.is_subset(&r.reads));
-        for name in ["a", "b", "c", "d"] {
-            let id = m.actor_by_name(name).unwrap().id;
-            assert!(r.reads.contains(&id), "region reads {name}");
-        }
-        let dirty = BTreeSet::from([m.actor_by_name("a").unwrap().id]);
-        assert!(r.touches(&dirty));
-        let outport = m.outports()[0].id;
-        assert!(!r.touches(&BTreeSet::from([outport])));
-    }
-
-    #[test]
-    fn cached_planner_matches_uncached_and_counts_hits() {
-        let m = library::fig4_model_sized(10);
-        let (set, index) = sets::builtin_indexed(Arch::Neon128);
-        let opts = BatchOptions::default();
-        let mut cache = PlanCache::default();
-        let emit = |mut cached: Option<&mut PlanCache>| {
-            let mut ctx = ctx_for(&m, Arch::Neon128);
-            let d = crate::dispatch::classify_all(ctx.model, &ctx.types);
-            let regions = form_regions_indexed(&ctx, &d, set, index);
-            for r in &regions {
-                let plan = match cached.as_deref_mut() {
-                    Some(c) => plan_region_cached(&ctx, r, set, index, opts, c).unwrap(),
-                    None => plan_region_indexed(&ctx, r, set, index, opts).unwrap(),
-                };
-                emit_region_plan(&mut ctx, r, &plan).unwrap();
-            }
-            ctx.finish()
-        };
-        let fresh = emit(None);
-        let miss = emit(Some(&mut cache));
-        assert_eq!(cache.misses, 1);
-        assert_eq!(cache.hits, 0);
-        assert_eq!(cache.len(), 1);
-        let hit = emit(Some(&mut cache));
-        assert_eq!(cache.misses, 1);
-        assert_eq!(cache.hits, 1);
-        assert_eq!(format!("{fresh:?}"), format!("{miss:?}"));
-        assert_eq!(format!("{fresh:?}"), format!("{hit:?}"));
     }
 
     #[test]

@@ -118,10 +118,10 @@ pub trait CodeGenerator {
     }
 
     /// Downcast hook for [`crate::EditSession`]: the HCG generator returns
-    /// itself so the incremental path can reach its plan cache and kernel
-    /// library; every other generator keeps the default `None` and is
-    /// recompiled through [`run_stages`] (over cached front-end artifacts,
-    /// which is already byte-identical to a scratch run).
+    /// itself so the session can hand it the saved Algorithm-1 history and
+    /// key its kept programs by the generator's options; every other
+    /// generator keeps the default `None` and is compiled through the
+    /// session's [`run_stages`] every time.
     fn as_hcg(&self) -> Option<&crate::HcgGen> {
         None
     }
@@ -147,7 +147,6 @@ pub struct GenContext<'m> {
     out_buf: Vec<BufferId>,
     // Every identifier a buffer holds, for `add_buffer`'s deduplication.
     used_names: BTreeSet<String>,
-    data_buffers: Vec<(ActorId, BufferId)>,
     written_outports: BTreeSet<ActorId>,
     // `(top-level statement index, origin)` marks recorded by `set_origin`;
     // each mark covers statements up to the next mark. Materialised into
@@ -209,7 +208,6 @@ impl<'m> GenContext<'m> {
             prog: Program::new(model.name.clone(), generator, arch),
             out_buf: Vec::with_capacity(model.actors.len()),
             used_names: BTreeSet::new(),
-            data_buffers: Vec::new(),
             written_outports: BTreeSet::new(),
             origin_marks: Vec::new(),
         };
@@ -258,8 +256,8 @@ impl<'m> GenContext<'m> {
     }
 
     /// [`GenContext::add_buffer`] for a buffer whose initialiser is
-    /// `actor`'s [`data_initialiser`], recorded in
-    /// [`GenContext::data_buffers`] so a data-only edit can rewrite it.
+    /// `actor`'s [`data_initialiser`], recorded in the program's
+    /// [`Program::data_buffers`] so a data-only edit can rewrite it.
     pub fn add_data_buffer(
         &mut self,
         actor: ActorId,
@@ -269,14 +267,8 @@ impl<'m> GenContext<'m> {
         init: Option<Vec<f64>>,
     ) -> BufferId {
         let id = self.add_buffer(base, ty, kind, init);
-        self.data_buffers.push((actor, id));
+        self.prog.data_buffers.push((actor, id));
         id
-    }
-
-    /// Every buffer whose initialiser comes from an actor's data
-    /// parameter, as `(actor, buffer)` in declaration order.
-    pub fn data_buffers(&self) -> &[(ActorId, BufferId)] {
-        &self.data_buffers
     }
 
     /// Attribute every top-level statement emitted from now on (until the
@@ -639,7 +631,8 @@ mod tests {
         let k = m.actor_by_name("k").unwrap().clone();
         crate::conventional::emit_conventional(&mut ctx, &k, crate::LoopStyle::LOOPS).unwrap();
         let recorded: Vec<(&str, &str)> = ctx
-            .data_buffers()
+            .prog
+            .data_buffers
             .iter()
             .map(|&(a, b)| {
                 (
@@ -649,7 +642,7 @@ mod tests {
             })
             .collect();
         assert_eq!(recorded, [("z", "z"), ("w", "w"), ("k", "k_gain_2")]);
-        for &(a, b) in ctx.data_buffers() {
+        for &(a, b) in &ctx.prog.data_buffers {
             let decl = ctx.prog.buffer(b);
             assert_eq!(decl.init, data_initialiser(&m.actors[a.0]));
             let in_prog = prog

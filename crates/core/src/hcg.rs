@@ -3,8 +3,7 @@
 //! intensive actors, Algorithm 2 for batch actors) → code composition.
 
 use crate::batch::{
-    emit_region_plan, form_regions_indexed, plan_region_indexed, BatchOptions, BatchRegion,
-    MatchOrder, RegionPlan,
+    emit_region_plan, form_regions_indexed, plan_region_indexed, BatchOptions, MatchOrder,
 };
 use crate::conventional::{emit_conventional, LoopStyle};
 use crate::dispatch::Dispatch;
@@ -131,10 +130,7 @@ impl HcgGen {
     /// The instruction set and index for a target, shared from the
     /// process-wide statics when no override is configured (one `.isa`
     /// parse and one index build per arch per process, not per compile).
-    pub(crate) fn instr_set_indexed(
-        &self,
-        arch: Arch,
-    ) -> (Cow<'static, InstrSet>, Cow<'static, InstrIndex>) {
+    fn instr_set_indexed(&self, arch: Arch) -> (Cow<'static, InstrSet>, Cow<'static, InstrIndex>) {
         match (&self.options.instr_set, &self.options.cost_overlay) {
             // A custom set is private to this generator: patch and index a
             // copy (overlays over custom sets can't share process statics).
@@ -156,7 +152,7 @@ impl HcgGen {
         }
     }
 
-    pub(crate) fn batch_options(&self) -> BatchOptions {
+    fn batch_options(&self) -> BatchOptions {
         BatchOptions {
             simd_threshold: self.options.simd_threshold,
             fallback_style: self.options.fallback_style,
@@ -165,78 +161,12 @@ impl HcgGen {
         }
     }
 
-    /// The Algorithm-1 autotuner (quick-search history) shared by the
-    /// compose stage and the incremental session.
+    /// The Algorithm-1 autotuner (quick-search history): the compose stage
+    /// selects kernels through it, and [`crate::EditSession`] hands it the
+    /// history saved across edits.
     pub(crate) fn tuner(&self) -> &RefCell<Autotuner> {
         &self.tuner
     }
-}
-
-/// The code-composition stage shared by HCG's `compose` stage and
-/// [`crate::EditSession`]: walk the schedule, emit each region once at its
-/// first member's position, dispatch everything else to the intensive or
-/// conventional emitters, and tag every statement with its origin. Returns
-/// the number of kernel calls emitted.
-pub(crate) fn compose_into(
-    ctx: &mut GenContext<'_>,
-    dispatch: &[Dispatch],
-    regions: &[BatchRegion],
-    plans: &[RegionPlan],
-    lib: &CodeLibrary,
-    tuner: &mut Autotuner,
-    fallback_style: LoopStyle,
-) -> Result<u64, GenError> {
-    if regions.len() != plans.len() {
-        return Err(GenError::Internal("region/plan count mismatch".into()));
-    }
-    let mut kernel_calls = 0u64;
-
-    // Which region does each actor belong to? A region is emitted once, at
-    // its first member's schedule position.
-    let mut region_of = vec![usize::MAX; ctx.model.actors.len()];
-    for (ri, r) in regions.iter().enumerate() {
-        for &a in &r.members {
-            region_of[a.0] = ri;
-        }
-    }
-    let mut emitted_regions: BTreeSet<usize> = BTreeSet::new();
-
-    for idx in 0..ctx.schedule.order.len() {
-        let aid = ctx.schedule.order[idx];
-        let actor = ctx.model.actor(aid);
-        match actor.kind {
-            ActorKind::Inport | ActorKind::Outport | ActorKind::Constant | ActorKind::UnitDelay => {
-                continue
-            }
-            _ => {}
-        }
-        let ri = region_of[aid.0];
-        if ri != usize::MAX {
-            if emitted_regions.insert(ri) {
-                ctx.set_origin(hcg_vm::Origin::region(actor.name.clone(), ri));
-                emit_region_plan(ctx, &regions[ri], &plans[ri])?;
-            }
-            continue;
-        }
-        match &dispatch[aid.0] {
-            Dispatch::Intensive { size } => {
-                // Intensive kernels are HCG-optimised regions of one actor:
-                // give them region provenance (indices after the batch
-                // regions) so the profiler's per-region breakdown covers
-                // them — a DCT/FFT model is otherwise all-intensive and
-                // would profile with an empty regions table.
-                let region_index = regions.len() + kernel_calls as usize;
-                ctx.set_origin(hcg_vm::Origin::region(actor.name.clone(), region_index));
-                emit_intensive(ctx, actor, size, lib, tuner)?;
-                kernel_calls += 1;
-            }
-            _ => {
-                ctx.set_origin(hcg_vm::Origin::actor(actor.name.clone()));
-                emit_conventional(ctx, actor, fallback_style)?;
-            }
-        }
-    }
-    Ok(kernel_calls)
 }
 
 impl CodeGenerator for HcgGen {
@@ -279,16 +209,55 @@ impl CodeGenerator for HcgGen {
         }
         stages.end(s, &ctx.prog, false, counters);
 
+        // Compose: walk the schedule, emit each region once at its first
+        // member's position, dispatch everything else to the intensive or
+        // conventional emitters, and tag every statement with its origin.
         let s = stages.start("compose", &ctx.prog);
-        let kernel_calls = compose_into(
-            &mut ctx,
-            dispatch,
-            &regions,
-            &plans,
-            &self.lib,
-            &mut self.tuner.borrow_mut(),
-            self.options.fallback_style,
-        )?;
+        let mut tuner = self.tuner.borrow_mut();
+        let mut kernel_calls = 0u64;
+        let mut region_of = vec![usize::MAX; ctx.model.actors.len()];
+        for (ri, r) in regions.iter().enumerate() {
+            for &a in &r.members {
+                region_of[a.0] = ri;
+            }
+        }
+        let mut emitted_regions: BTreeSet<usize> = BTreeSet::new();
+        for idx in 0..ctx.schedule.order.len() {
+            let aid = ctx.schedule.order[idx];
+            let actor = ctx.model.actor(aid);
+            if matches!(
+                actor.kind,
+                ActorKind::Inport | ActorKind::Outport | ActorKind::Constant | ActorKind::UnitDelay
+            ) {
+                continue;
+            }
+            let ri = region_of[aid.0];
+            if ri != usize::MAX {
+                if emitted_regions.insert(ri) {
+                    ctx.set_origin(hcg_vm::Origin::region(actor.name.clone(), ri));
+                    emit_region_plan(&mut ctx, &regions[ri], &plans[ri])?;
+                }
+                continue;
+            }
+            match &dispatch[aid.0] {
+                Dispatch::Intensive { size } => {
+                    // Intensive kernels are HCG-optimised regions of one
+                    // actor: give them region provenance (indices after the
+                    // batch regions) so the profiler's per-region breakdown
+                    // covers them — a DCT/FFT model is otherwise
+                    // all-intensive and would profile with an empty regions
+                    // table.
+                    let region_index = regions.len() + kernel_calls as usize;
+                    ctx.set_origin(hcg_vm::Origin::region(actor.name.clone(), region_index));
+                    emit_intensive(&mut ctx, actor, size, &self.lib, &mut tuner)?;
+                    kernel_calls += 1;
+                }
+                _ => {
+                    ctx.set_origin(hcg_vm::Origin::actor(actor.name.clone()));
+                    emit_conventional(&mut ctx, actor, self.options.fallback_style)?;
+                }
+            }
+        }
         let prog = ctx.finish();
         let counters = StageCounters {
             kernel_calls,

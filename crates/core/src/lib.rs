@@ -41,10 +41,7 @@ pub mod session;
 
 mod hcg;
 
-pub use batch::{
-    explain_region, form_regions_probed, plan_region_cached, BatchOptions, BatchRegion, MapTrace,
-    MatchOrder, PlanCache, RegionPlan,
-};
+pub use batch::{explain_region, BatchOptions, BatchRegion, MapTrace, MatchOrder, RegionPlan};
 pub use conventional::LoopStyle;
 pub use dispatch::Dispatch;
 pub use generator::{

@@ -66,8 +66,8 @@ impl CompileSession {
     /// Apply a [`ModelDelta`] to the session's model, dropping every cached
     /// artifact — including a cached *error*: an edit that fixes an invalid
     /// model makes subsequent [`CompileSession::validate`] calls succeed
-    /// rather than replaying the stale failure. (For dirty-region reuse
-    /// instead of whole-model invalidation, use [`crate::EditSession`].)
+    /// rather than replaying the stale failure. ([`crate::EditSession`]
+    /// wraps a session to patch kept programs after data-only edits.)
     ///
     /// # Errors
     ///

@@ -6,8 +6,8 @@
 //! *every* edit compiles the model both incrementally and from scratch
 //! for every oracle generator × architecture. The invariant is strict
 //! equality of the whole program, constant initialisers included (the
-//! emitted C does not show them): the dirty-region splicing and data
-//! patching in [`EditSession`] may only skip work, never change output.
+//! emitted C does not show them): the data patching and the Algorithm 1
+//! history in [`EditSession`] may only skip work, never change output.
 //!
 //! Each proposed edit is validated on a throwaway clone before being
 //! applied (`front_end().is_ok()`), so the session mostly sees valid

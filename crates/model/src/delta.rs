@@ -2,8 +2,9 @@
 //! recompilation.
 //!
 //! An interactive editor (or the fuzzer) changes one actor at a time; the
-//! compile pipeline wants to know *what* changed so it can invalidate only
-//! the affected artifacts. This module provides:
+//! compile pipeline wants to know *what* changed so it can tell an edit
+//! that only changes data from one that changes code. This module
+//! provides:
 //!
 //! * [`EditOp`] — one primitive, name-addressed model edit (actors are
 //!   addressed by name because [`crate::ActorId`]s shift when actors are
@@ -13,9 +14,8 @@
 //!   states and a later edit can fix them);
 //! * [`ModelDelta`] — an ordered edit sequence, with [`ModelDelta::diff`]
 //!   recovering one from two model snapshots and
-//!   [`ModelDelta::touched_actors`] reporting the actors it dirties;
-//! * [`downstream_closure`] — the forward slice of a set of actors, which
-//!   is exactly the set whose inferred types may change after an edit.
+//!   [`ModelDelta::data_only`] recognising the edits that change only
+//!   constant data, which a compiler can apply by patching initialisers.
 
 use crate::actor::{Actor, ActorId, ActorKind};
 use crate::model::{Connection, Model, ModelError, PortRef};
@@ -81,23 +81,6 @@ pub enum EditOp {
         /// Destination input port (actor name, input index).
         to: NamedPort,
     },
-}
-
-impl EditOp {
-    /// Names of the actors this op directly edits. Indirectly affected
-    /// actors (e.g. consumers of a removed actor) are resolved against a
-    /// concrete model by [`ModelDelta::touched_actors`].
-    pub fn touched(&self) -> Vec<&str> {
-        match self {
-            EditOp::AddActor { name, .. }
-            | EditOp::RemoveActor { name }
-            | EditOp::SetKind { name, .. }
-            | EditOp::SetParam { name, .. }
-            | EditOp::RemoveParam { name, .. } => vec![name],
-            EditOp::Connect { from, to } => vec![&from.0, &to.0],
-            EditOp::Disconnect { to } => vec![&to.0],
-        }
-    }
 }
 
 impl fmt::Display for EditOp {
@@ -212,24 +195,6 @@ impl ModelDelta {
     /// True when the delta contains no ops.
     pub fn is_empty(&self) -> bool {
         self.ops.is_empty()
-    }
-
-    /// True when any op changes model *structure* (actors, kinds or wires)
-    /// rather than only parameters. A schedule stays valid across a
-    /// non-structural delta. `SetKind` is structural because retyping to
-    /// or from [`ActorKind::UnitDelay`] changes which edges the scheduler
-    /// follows.
-    pub fn structural(&self) -> bool {
-        self.ops.iter().any(|op| {
-            matches!(
-                op,
-                EditOp::AddActor { .. }
-                    | EditOp::RemoveActor { .. }
-                    | EditOp::SetKind { .. }
-                    | EditOp::Connect { .. }
-                    | EditOp::Disconnect { .. }
-            )
-        })
     }
 
     /// True when the delta only changes *data*: every op is a `SetParam`
@@ -365,28 +330,6 @@ impl ModelDelta {
         }
         Ok(m)
     }
-
-    /// Every actor name this delta dirties, resolved against the model the
-    /// delta applies to: the directly edited actors plus, for removals and
-    /// rewires, the consumers whose driver changes.
-    pub fn touched_actors(&self, before: &Model) -> BTreeSet<String> {
-        let mut touched = BTreeSet::new();
-        for op in &self.ops {
-            for n in op.touched() {
-                touched.insert(n.to_owned());
-            }
-            if let EditOp::RemoveActor { name } = op {
-                if let Some(a) = before.actor_by_name(name) {
-                    for c in &before.connections {
-                        if c.from.actor == a.id {
-                            touched.insert(before.actors[c.to.actor.0].name.clone());
-                        }
-                    }
-                }
-            }
-        }
-        touched
-    }
 }
 
 /// A numeric parameter's variant and element count; `None` for strings.
@@ -398,39 +341,6 @@ fn numeric_shape(p: &Param) -> Option<(std::mem::Discriminant<Param>, usize)> {
         Param::Str(_) => return None,
     };
     Some((std::mem::discriminant(p), len))
-}
-
-/// The forward slice of `seeds`: every actor reachable from a seed along
-/// dataflow wires (including through `UnitDelay` state edges), seeds
-/// included. These are exactly the actors whose inferred types, dispatch
-/// classes or emitted code may change when the seeds are edited; everything
-/// outside the closure is reusable as-is.
-pub fn downstream_closure(model: &Model, seeds: &BTreeSet<String>) -> BTreeSet<String> {
-    let n = model.actors.len();
-    let mut dirty = vec![false; n];
-    let mut work: Vec<usize> = model
-        .actors
-        .iter()
-        .filter(|a| seeds.contains(&a.name))
-        .map(|a| a.id.0)
-        .collect();
-    for &i in &work {
-        dirty[i] = true;
-    }
-    while let Some(i) = work.pop() {
-        for c in &model.connections {
-            if c.from.actor.0 == i && !dirty[c.to.actor.0] {
-                dirty[c.to.actor.0] = true;
-                work.push(c.to.actor.0);
-            }
-        }
-    }
-    model
-        .actors
-        .iter()
-        .filter(|a| dirty[a.id.0])
-        .map(|a| a.name.clone())
-        .collect()
 }
 
 /// Name-based model equivalence: same model name, same actors by
@@ -492,7 +402,6 @@ mod tests {
         .unwrap();
         let d = ModelDelta::diff(&old, &new);
         assert_eq!(d.ops.len(), 1);
-        assert!(!d.structural());
         let redone = d.apply(&old).unwrap();
         assert!(models_equivalent(&redone, &new));
         assert!(ModelDelta::diff(&new, &redone).is_empty());
@@ -520,7 +429,6 @@ mod tests {
         .unwrap();
         assert!(new.front_end().is_ok());
         let d = ModelDelta::diff(&old, &new);
-        assert!(d.structural());
         let redone = d.apply(&old).unwrap();
         assert!(models_equivalent(&redone, &new));
 
@@ -532,15 +440,6 @@ mod tests {
         for (i, a) in undone.actors.iter().enumerate() {
             assert_eq!(a.id.0, i);
         }
-    }
-
-    #[test]
-    fn remove_touches_consumers() {
-        let m = base();
-        let d = ModelDelta::single(EditOp::RemoveActor { name: "x".into() });
-        let touched = d.touched_actors(&m);
-        assert!(touched.contains("x"));
-        assert!(touched.contains("g"), "consumer of removed actor is dirty");
     }
 
     #[test]
@@ -637,7 +536,6 @@ mod tests {
         ] {
             let d = ModelDelta::single(op.clone());
             assert!(d.data_only(&m), "{op}");
-            assert!(!d.structural(), "{op}");
             assert!(d.apply(&m).unwrap().front_end().is_ok(), "{op}");
         }
     }
@@ -691,31 +589,6 @@ mod tests {
         assert!(
             ModelDelta::default().data_only(&m),
             "an empty delta changes nothing"
-        );
-    }
-
-    #[test]
-    fn downstream_closure_flows_through_delays() {
-        let mut b = ModelBuilder::new("acc");
-        let x = b.inport("x", SignalType::vector(DataType::F32, 8));
-        let add = b.add_actor("sum", ActorKind::Add);
-        let d = b.add_actor("z1", ActorKind::UnitDelay);
-        let o = b.outport("y");
-        b.connect(x, 0, add, 0);
-        b.connect(d, 0, add, 1);
-        b.connect(add, 0, d, 0);
-        b.connect(add, 0, o, 0);
-        let m = b.build().unwrap();
-        let seeds = BTreeSet::from(["x".to_owned()]);
-        let dirty = downstream_closure(&m, &seeds);
-        assert_eq!(
-            dirty,
-            BTreeSet::from([
-                "x".to_owned(),
-                "sum".to_owned(),
-                "z1".to_owned(),
-                "y".to_owned()
-            ])
         );
     }
 }

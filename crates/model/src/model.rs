@@ -310,36 +310,12 @@ impl Model {
     /// Returns [`ModelError`] when validation fails, a type rule is violated
     /// or inference cannot resolve every signal.
     pub fn infer_types(&self) -> Result<TypeMap, ModelError> {
-        self.infer_types_seeded(&BTreeMap::new())
-    }
-
-    /// [`Model::infer_types`] with pre-resolved output types for a subset
-    /// of actors, keyed by actor name.
-    ///
-    /// An incremental compiler seeds the types of *clean* actors — those
-    /// outside the [`crate::delta::downstream_closure`] of an edit — whose
-    /// fixed-point values cannot have changed, so propagation only has to
-    /// resolve the dirty slice. With correct seeds the result is identical
-    /// to a full [`Model::infer_types`] run: seeded values short-circuit
-    /// propagation but every actor still passes the final consistency
-    /// check.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ModelError`] exactly as [`Model::infer_types`] does.
-    pub fn infer_types_seeded(
-        &self,
-        known: &BTreeMap<String, SignalType>,
-    ) -> Result<TypeMap, ModelError> {
         crate::stats::note_type_inference();
         self.validate_structure()?;
         let mut out: Vec<Vec<Option<SignalType>>> = self
             .actors
             .iter()
-            .map(|a| {
-                let seed = known.get(&a.name).copied();
-                vec![seed; a.kind.output_count()]
-            })
+            .map(|a| vec![None; a.kind.output_count()])
             .collect();
 
         // Fixed-point propagation.

@@ -10,7 +10,7 @@
 
 use hcg_isa::{Arch, Pattern};
 use hcg_model::op::ElemOp;
-use hcg_model::{ActorKind, DataType, SignalType};
+use hcg_model::{ActorId, ActorKind, DataType, SignalType};
 use std::fmt;
 
 /// Index of a buffer within a [`Program`].
@@ -264,6 +264,11 @@ pub struct Program {
     /// unconditionally — independent of whether tracing is enabled — so
     /// equal inputs always produce equal programs.
     pub origins: Vec<Origin>,
+    /// `(actor, buffer)` for every buffer whose initialiser comes from an
+    /// actor's data parameter (`Constant.value`, `Gain.gain`,
+    /// `UnitDelay.init`), in declaration order: what a data-only model edit
+    /// rewrites.
+    pub data_buffers: Vec<(ActorId, BufferId)>,
 }
 
 impl Program {
@@ -279,6 +284,7 @@ impl Program {
             reg_names: Vec::new(),
             body: Vec::new(),
             origins: Vec::new(),
+            data_buffers: Vec::new(),
         }
     }
 
