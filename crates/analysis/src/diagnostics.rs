@@ -11,7 +11,7 @@ pub enum Severity {
     /// type violations, undefined behaviour).
     Error,
     /// The artifact works but carries a smell worth surfacing (dead code,
-    /// redundant wiring).
+    /// outputs nothing reads).
     Warning,
 }
 
@@ -69,6 +69,9 @@ pub enum LintCode {
     /// Connected signals disagree on shape/input scale (beyond scalar
     /// broadcast).
     ScaleMismatch,
+    /// Type inference cannot resolve an actor's output (an untyped
+    /// feedback loop without a `UnitDelay` `type` parameter).
+    UnresolvedType,
     /// A combinational cycle not broken by a `UnitDelay`.
     AlgebraicLoop,
     /// An actor with no path to any `Outport`.
@@ -130,6 +133,7 @@ impl LintCode {
             BadParam => "model/bad-param",
             DtypeMismatch => "model/dtype-mismatch",
             ScaleMismatch => "model/scale-mismatch",
+            UnresolvedType => "model/unresolved-type",
             AlgebraicLoop => "model/algebraic-loop",
             UnreachableActor => "model/unreachable-actor",
             NoOutput => "model/no-output",
@@ -151,8 +155,7 @@ impl LintCode {
     pub const fn severity(self) -> Severity {
         use LintCode::*;
         match self {
-            DuplicateConnection
-            | DanglingOutput
+            DanglingOutput
             | UnreachableActor
             | NoOutput
             | DeadStore
@@ -460,6 +463,7 @@ mod tests {
             BadParam,
             DtypeMismatch,
             ScaleMismatch,
+            UnresolvedType,
             AlgebraicLoop,
             UnreachableActor,
             NoOutput,

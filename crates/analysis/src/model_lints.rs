@@ -1,30 +1,28 @@
-//! Model-level lints: structural problems, parameter contracts, connection
-//! type/scale consistency, algebraic loops and reachability.
+//! Model-level lints: every violation of the model checker
+//! ([`Model::check`], the walk [`Model::infer_types`] also reads) plus the
+//! lint-only passes — sanitized-name collisions, dangling outputs,
+//! algebraic loops and reachability.
 //!
-//! Unlike [`Model::validate_structure`] and [`Model::infer_types`], which
-//! stop at the first error, every pass here records all findings. Type
-//! checking uses a tolerant local propagation that keeps going past
-//! inconsistencies so that one bad wire does not hide another.
+//! The checker records every violation rather than the first, so one bad
+//! wire does not hide another, and a model lints with an error exactly
+//! when the compiler rejects it.
 
 use crate::diagnostics::{LintCode, LintReport, Location};
-use hcg_model::{Actor, ActorKind, DataType, Model, Param, PortRef, Shape, SignalType};
+use hcg_model::{Actor, ActorKind, Model, ModelFault, ModelViolation, Param, ParamFault, PortRef};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Run every model lint and collect the findings.
 pub fn lint_model(model: &Model) -> LintReport {
     let mut r = LintReport::new(&model.name);
+    let drivers = drivers(model);
+    for v in &model.check() {
+        push_model_violation(&mut r, model, v, &drivers);
+    }
     if model.actors.is_empty() {
-        r.push(
-            LintCode::EmptyModel,
-            Location::Global,
-            "model contains no actors",
-        );
         return r;
     }
-    lint_names_and_params(model, &mut r);
     lint_sanitized_collisions(model, &mut r);
-    lint_connections(model, &mut r);
-    lint_types(model, &mut r);
+    lint_dangling_outputs(model, &mut r);
     lint_cycles(model, &mut r);
     lint_reachability(model, &mut r);
     r
@@ -37,13 +35,6 @@ fn at(actor: &Actor) -> Location {
     }
 }
 
-fn at_port(actor: &Actor, port: usize) -> Location {
-    Location::Actor {
-        name: actor.name.clone(),
-        port: Some(port),
-    }
-}
-
 /// Render a port end with the actor name when the id resolves.
 fn port_label(model: &Model, p: PortRef) -> String {
     match model.actors.get(p.actor.0) {
@@ -52,34 +43,146 @@ fn port_label(model: &Model, p: PortRef) -> String {
     }
 }
 
-fn conn_location(model: &Model, from: PortRef, to: PortRef) -> Location {
-    Location::Connection {
-        from: port_label(model, from),
-        to: port_label(model, to),
+/// One checker violation as a diagnostic: its code, where it points, and a
+/// message naming the values at fault.
+fn push_model_violation(
+    r: &mut LintReport,
+    model: &Model,
+    v: &ModelViolation,
+    drivers: &BTreeMap<PortRef, Vec<PortRef>>,
+) {
+    use LintCode as C;
+    use ModelFault::*;
+    let code = match v.fault {
+        Empty => C::EmptyModel,
+        DuplicateName => C::DuplicateActorName,
+        MissingParam(_) => C::MissingParam,
+        UnknownActor { .. } => C::UnknownActorId,
+        PortOutOfRange { .. } => C::PortOutOfRange,
+        DuplicateWire(_) => C::DuplicateConnection,
+        SecondDriver(_) => C::DuplicateInputDriver,
+        UnconnectedInput => C::UnconnectedInput,
+        BadParam(..) | ValueLength(..) => C::BadParam,
+        NotFloat(_) | NotInt(_) | MixedDtypes(..) => C::DtypeMismatch,
+        Unresolved => C::UnresolvedType,
+        _ => C::ScaleMismatch,
+    };
+    let a = v.actor.map(|id| model.actor(id));
+    let location = match (v.fault, a) {
+        (UnknownActor { wire, .. } | PortOutOfRange { wire, .. } | DuplicateWire(wire), _) => {
+            let c = model.connections[wire];
+            Location::Connection {
+                from: port_label(model, c.from),
+                to: port_label(model, c.to),
+            }
+        }
+        (_, Some(a)) => Location::Actor {
+            name: a.name.clone(),
+            port: v.port,
+        },
+        (_, None) => Location::Global,
+    };
+    let name = a.map_or("", |a| a.name.as_str());
+    let kind = a.map_or("", |a| a.kind.name());
+    let message = match v.fault {
+        Empty => "model contains no actors".to_owned(),
+        DuplicateName => format!("actor name {name:?} is used more than once"),
+        MissingParam(p) => format!("{kind} requires parameter {p:?}"),
+        UnknownActor { id, .. } => format!("references unknown actor {id}"),
+        PortOutOfRange { output, .. } => {
+            let (side, limit) = match a.map(|a| a.kind) {
+                Some(k) if output => ("output", k.output_count()),
+                k => ("input", k.map_or(0, ActorKind::input_count)),
+            };
+            let port = v.port.unwrap_or(0);
+            format!("{side} port {port} out of range on {name} ({kind} has {limit})")
+        }
+        DuplicateWire(_) => "the same wire appears more than once".to_owned(),
+        SecondDriver(wire) => {
+            let froms = &drivers[&model.connections[wire].to];
+            let labels: Vec<String> = froms.iter().map(|f| port_label(model, *f)).collect();
+            format!(
+                "input driven by {} different outputs: {}",
+                froms.len(),
+                labels.join(", ")
+            )
+        }
+        UnconnectedInput => format!("input port {} of {kind} has no driver", v.port.unwrap_or(0)),
+        BadParam(param, why) => format!("parameter {param:?}: {}", param_fault(a, why)),
+        ValueLength(len, ty) => format!(
+            "parameter \"value\": has {len} elements, type {ty} needs {} (or 1)",
+            ty.len()
+        ),
+        NotFloat(d) => format!("{kind} requires floating-point input, got {d}"),
+        NotInt(d) => format!("{kind} requires integer input, got {d}"),
+        MixedDtypes(x, y) if kind == "Switch" => {
+            format!("Switch data inputs mix dtypes {x} and {y}")
+        }
+        MixedDtypes(x, y) => format!("{kind} inputs mix dtypes {x} and {y}"),
+        ShapeMismatch(x, y) if kind == "Switch" => {
+            format!("Switch data input scales differ: {x} vs {y}")
+        }
+        ShapeMismatch(x, y) => {
+            format!("{kind} input scales differ: {x} vs {y} (only scalar broadcast allowed)")
+        }
+        ControlShape(control, data) => {
+            format!("Switch control scale {control} is neither scalar nor the data scale {data}")
+        }
+        NeedsMatrix(got) => format!("{kind} needs a matrix input, got {got}"),
+        NeedsMatrices(x, y) => format!("{kind} needs matrix inputs, got {x} and {y}"),
+        InnerDims(k1, k2) => format!("{kind} inner dimensions differ: {k1} vs {k2}"),
+        NotSquare(rows, cols) => format!("{kind} needs a square matrix, got {rows}x{cols}"),
+        NeedsVector(got) => format!("{kind} needs a vector input, got {got}"),
+        NeedsVectors(x, y) => format!("{kind} needs vector inputs, got {x} and {y}"),
+        EmptyInput => format!("{kind} input is empty"),
+        OddLength(len) => {
+            format!("IFFT input is interleaved complex and must have even length, got {len}")
+        }
+        Unresolved => format!(
+            "{kind} output type cannot be inferred; an untyped loop needs a UnitDelay \"type\""
+        ),
+    };
+    r.push(code, location, message);
+}
+
+/// Why a parameter is rejected, in words.
+fn param_fault(a: Option<&Actor>, why: ParamFault) -> String {
+    match why {
+        ParamFault::NotSignalType => {
+            "not a valid signal type (expected e.g. \"f32*1024\")".to_owned()
+        }
+        ParamFault::NotNumber => "not a number".to_owned(),
+        ParamFault::NotNumeric => "not numeric".to_owned(),
+        ParamFault::NotInteger => "not an integer".to_owned(),
+        ParamFault::ShiftRange(v) => format!("shift amount {v} outside 0..=63"),
+        ParamFault::InvertedBounds(min, max) => {
+            format!("lower bound {min} exceeds upper bound {max}")
+        }
+        ParamFault::UnknownDtype => match a.and_then(|a| a.param("to")) {
+            Some(Param::Str(s)) => format!("unknown data type {s:?}"),
+            _ => "unknown data type".to_owned(),
+        },
+        ParamFault::NotDtypeName => "expected a data type name".to_owned(),
     }
 }
 
-fn lint_names_and_params(model: &Model, r: &mut LintReport) {
-    let mut seen: BTreeMap<&str, ()> = BTreeMap::new();
-    for a in &model.actors {
-        if seen.insert(&a.name, ()).is_some() {
-            r.push(
-                LintCode::DuplicateActorName,
-                at(a),
-                format!("actor name {:?} is used more than once", a.name),
-            );
+/// The distinct sources wired into each input, in wire order, counting
+/// only wires whose ends both name real ports.
+fn drivers(model: &Model) -> BTreeMap<PortRef, Vec<PortRef>> {
+    let real = |p: PortRef, output: bool| {
+        model.actors.get(p.actor.0).is_some_and(|a| match output {
+            true => p.port < a.kind.output_count(),
+            false => p.port < a.kind.input_count(),
+        })
+    };
+    let mut seen = BTreeSet::new();
+    let mut drivers: BTreeMap<PortRef, Vec<PortRef>> = BTreeMap::new();
+    for c in &model.connections {
+        if real(c.from, true) && real(c.to, false) && seen.insert((c.from, c.to)) {
+            drivers.entry(c.to).or_default().push(c.from);
         }
-        for p in a.kind.required_params() {
-            if !a.params.contains_key(*p) {
-                r.push(
-                    LintCode::MissingParam,
-                    at(a),
-                    format!("{} requires parameter {p:?}", a.kind),
-                );
-            }
-        }
-        lint_param_values(a, r);
     }
+    drivers
 }
 
 /// Distinct actor names that sanitize to the same C identifier would fight
@@ -115,446 +218,19 @@ fn lint_sanitized_collisions(model: &Model, r: &mut LintReport) {
     }
 }
 
-/// Value-level parameter checks, only for parameters that are present
-/// (absence is [`LintCode::MissingParam`]).
-fn lint_param_values(a: &Actor, r: &mut LintReport) {
-    let mut bad = |param: &str, why: String| {
-        r.push(
-            LintCode::BadParam,
-            at(a),
-            format!("parameter {param:?}: {why}"),
-        );
-    };
-    match a.kind {
-        ActorKind::Inport | ActorKind::Constant | ActorKind::UnitDelay => {
-            if a.params.contains_key("type") && a.type_param("type").is_none() {
-                bad(
-                    "type",
-                    "not a valid signal type (expected e.g. \"f32*1024\")".into(),
-                );
-            }
-            if a.kind == ActorKind::Constant {
-                if let Some(p) = a.param("value") {
-                    match p.as_float_vec() {
-                        None => bad("value", "not numeric".into()),
-                        Some(v) => {
-                            if let Some(t) = a.type_param("type") {
-                                if v.len() != t.len() && v.len() != 1 {
-                                    bad(
-                                        "value",
-                                        format!(
-                                            "has {} elements, type {t} needs {} (or 1)",
-                                            v.len(),
-                                            t.len()
-                                        ),
-                                    );
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        ActorKind::Gain => {
-            if let Some(p) = a.param("gain") {
-                if p.as_float().is_none() {
-                    bad("gain", "not a number".into());
-                }
-            }
-        }
-        ActorKind::Saturate => {
-            let (lo, hi) = (
-                a.param("min").and_then(Param::as_float),
-                a.param("max").and_then(Param::as_float),
-            );
-            if a.params.contains_key("min") && lo.is_none() {
-                bad("min", "not a number".into());
-            }
-            if a.params.contains_key("max") && hi.is_none() {
-                bad("max", "not a number".into());
-            }
-            if let (Some(lo), Some(hi)) = (lo, hi) {
-                if lo > hi {
-                    bad("min", format!("lower bound {lo} exceeds upper bound {hi}"));
-                }
-            }
-        }
-        ActorKind::Shr | ActorKind::Shl => {
-            if let Some(p) = a.param("amount") {
-                match p.as_int() {
-                    Some(v) if (0..=63).contains(&v) => {}
-                    Some(v) => bad("amount", format!("shift amount {v} outside 0..=63")),
-                    None => bad("amount", "not an integer".into()),
-                }
-            }
-        }
-        ActorKind::Cast => {
-            if let Some(Param::Str(s)) = a.param("to") {
-                if s.parse::<DataType>().is_err() {
-                    bad("to", format!("unknown data type {s:?}"));
-                }
-            } else if a.params.contains_key("to") {
-                bad("to", "expected a data type name".into());
-            }
-        }
-        _ => {}
-    }
-}
-
-fn lint_connections(model: &Model, r: &mut LintReport) {
-    let mut exact: BTreeSet<(PortRef, PortRef)> = BTreeSet::new();
-    let mut drivers: BTreeMap<PortRef, Vec<PortRef>> = BTreeMap::new();
-    for c in &model.connections {
-        let mut ends_ok = true;
-        for (end, is_output) in [(c.from, true), (c.to, false)] {
-            match model.actors.get(end.actor.0) {
-                None => {
-                    r.push(
-                        LintCode::UnknownActorId,
-                        conn_location(model, c.from, c.to),
-                        format!("references unknown actor {}", end.actor),
-                    );
-                    ends_ok = false;
-                }
-                Some(a) => {
-                    let limit = if is_output {
-                        a.kind.output_count()
-                    } else {
-                        a.kind.input_count()
-                    };
-                    if end.port >= limit {
-                        r.push(
-                            LintCode::PortOutOfRange,
-                            conn_location(model, c.from, c.to),
-                            format!(
-                                "{} port {} out of range on {} ({} has {limit})",
-                                if is_output { "output" } else { "input" },
-                                end.port,
-                                a.name,
-                                a.kind
-                            ),
-                        );
-                        ends_ok = false;
-                    }
-                }
-            }
-        }
-        if !ends_ok {
-            continue;
-        }
-        if !exact.insert((c.from, c.to)) {
-            r.push(
-                LintCode::DuplicateConnection,
-                conn_location(model, c.from, c.to),
-                "the same wire appears more than once",
-            );
-            continue; // exact duplicates are not a second driver
-        }
-        drivers.entry(c.to).or_default().push(c.from);
-    }
-    for (to, froms) in &drivers {
-        if froms.len() > 1 {
-            let a = &model.actors[to.actor.0];
-            r.push(
-                LintCode::DuplicateInputDriver,
-                at_port(a, to.port),
-                format!(
-                    "input driven by {} different outputs: {}",
-                    froms.len(),
-                    froms
-                        .iter()
-                        .map(|f| port_label(model, *f))
-                        .collect::<Vec<_>>()
-                        .join(", ")
-                ),
-            );
-        }
-    }
+/// Outputs no wire reads: the value is computed and thrown away.
+fn lint_dangling_outputs(model: &Model, r: &mut LintReport) {
     for a in &model.actors {
-        for p in 0..a.kind.input_count() {
-            if !drivers.contains_key(&PortRef::new(a.id, p)) {
-                r.push(
-                    LintCode::UnconnectedInput,
-                    at_port(a, p),
-                    format!("input port {p} of {} has no driver", a.kind),
-                );
-            }
-        }
         for p in 0..a.kind.output_count() {
-            if model.consumers(PortRef::new(a.id, p)).is_empty() {
-                r.push(
-                    LintCode::DanglingOutput,
-                    at_port(a, p),
-                    format!("output port {p} of {} drives nothing", a.kind),
-                );
+            let port = PortRef::new(a.id, p);
+            if !model.connections.iter().any(|c| c.from == port) {
+                let at = Location::Actor {
+                    name: a.name.clone(),
+                    port: Some(p),
+                };
+                let message = format!("output port {p} of {} drives nothing", a.kind);
+                r.push(LintCode::DanglingOutput, at, message);
             }
-        }
-    }
-}
-
-fn mat_dims(t: SignalType) -> Option<(usize, usize)> {
-    match t.shape {
-        Shape::Matrix(r, c) => Some((r, c)),
-        _ => None,
-    }
-}
-
-/// Tolerant fixed-point type propagation: like `Model::infer_types` but it
-/// never bails — unknowable or inconsistent outputs stay `None` and checking
-/// continues elsewhere.
-fn propagate_types(model: &Model) -> Vec<Option<SignalType>> {
-    let mut out: Vec<Option<SignalType>> = vec![None; model.actors.len()];
-    loop {
-        let mut progressed = false;
-        for a in &model.actors {
-            if a.kind.output_count() == 0 || out[a.id.0].is_some() {
-                continue;
-            }
-            let ins: Vec<Option<SignalType>> = (0..a.kind.input_count())
-                .map(|p| {
-                    model
-                        .driver(PortRef::new(a.id, p))
-                        .filter(|s| s.actor.0 < model.actors.len())
-                        .and_then(|s| out[s.actor.0])
-                })
-                .collect();
-            if let Some(t) = propagate_one(a, &ins) {
-                out[a.id.0] = Some(t);
-                progressed = true;
-            }
-        }
-        if !progressed {
-            return out;
-        }
-    }
-}
-
-fn propagate_one(a: &Actor, ins: &[Option<SignalType>]) -> Option<SignalType> {
-    use ActorKind::*;
-    let first_known = ins.iter().flatten().next().copied();
-    let array_known = ins
-        .iter()
-        .flatten()
-        .find(|t| t.shape.is_array())
-        .copied()
-        .or(first_known);
-    match a.kind {
-        Inport | Constant => a.type_param("type"),
-        Outport => None,
-        Gain | Saturate | Neg | Abs | Recp | Sqrt | BitNot | Shr | Shl => first_known,
-        UnitDelay => a.type_param("type").or(first_known),
-        Cast => first_known.map(|t| {
-            let to = match a.param("to") {
-                Some(Param::Str(s)) => s.parse().unwrap_or(t.dtype),
-                _ => t.dtype,
-            };
-            SignalType {
-                dtype: to,
-                shape: t.shape,
-            }
-        }),
-        Add | Sub | Mul | Div | BitAnd | BitOr | BitXor | Min | Max | Abd => array_known,
-        Switch => ins
-            .get(1)
-            .copied()
-            .flatten()
-            .or(ins.get(2).copied().flatten()),
-        MatMul => {
-            let (x, y) = (ins[0]?, ins[1]?);
-            let (r, _) = mat_dims(x)?;
-            let (_, c) = mat_dims(y)?;
-            Some(SignalType::matrix(x.dtype, r, c))
-        }
-        MatInv | Dct2d => ins[0],
-        MatDet => ins[0].map(|t| SignalType::scalar(t.dtype)),
-        Fft => ins[0].map(|t| SignalType::vector(t.dtype, t.len() * 2)),
-        Ifft => {
-            let t = ins[0]?;
-            (t.len() % 2 == 0).then(|| SignalType::vector(t.dtype, t.len() / 2))
-        }
-        Dct | Idct => ins[0].map(|t| SignalType::vector(t.dtype, t.len())),
-        Conv => {
-            let (x, y) = (ins[0]?, ins[1]?);
-            Some(SignalType::vector(x.dtype, x.len() + y.len() - 1))
-        }
-        Fft2d => {
-            let t = ins[0]?;
-            let (r, c) = mat_dims(t)?;
-            Some(SignalType::matrix(t.dtype, r, c * 2))
-        }
-        Conv2d => {
-            let (x, y) = (ins[0]?, ins[1]?);
-            let (r1, c1) = mat_dims(x)?;
-            let (r2, c2) = mat_dims(y)?;
-            Some(SignalType::matrix(x.dtype, r1 + r2 - 1, c1 + c2 - 1))
-        }
-    }
-}
-
-fn lint_types(model: &Model, r: &mut LintReport) {
-    use ActorKind::*;
-    let out = propagate_types(model);
-    for a in &model.actors {
-        let ins: Vec<Option<SignalType>> = (0..a.kind.input_count())
-            .map(|p| {
-                model
-                    .driver(PortRef::new(a.id, p))
-                    .filter(|s| s.actor.0 < model.actors.len())
-                    .and_then(|s| out[s.actor.0])
-            })
-            .collect();
-        if a.kind.float_only() {
-            for (p, t) in ins.iter().enumerate() {
-                if let Some(t) = t {
-                    if !t.dtype.is_float() {
-                        r.push(
-                            LintCode::DtypeMismatch,
-                            at_port(a, p),
-                            format!("{} requires floating-point input, got {}", a.kind, t.dtype),
-                        );
-                    }
-                }
-            }
-        }
-        if a.kind.int_only() {
-            for (p, t) in ins.iter().enumerate() {
-                if let Some(t) = t {
-                    if !t.dtype.is_int() {
-                        r.push(
-                            LintCode::DtypeMismatch,
-                            at_port(a, p),
-                            format!("{} requires integer input, got {}", a.kind, t.dtype),
-                        );
-                    }
-                }
-            }
-        }
-        match a.kind {
-            Add | Sub | Mul | Div | BitAnd | BitOr | BitXor | Min | Max | Abd => {
-                if let (Some(x), Some(y)) = (ins[0], ins[1]) {
-                    if x.dtype != y.dtype {
-                        r.push(
-                            LintCode::DtypeMismatch,
-                            at(a),
-                            format!("{} inputs mix dtypes {} and {}", a.kind, x.dtype, y.dtype),
-                        );
-                    }
-                    let shapes_ok =
-                        x.shape == y.shape || x.shape == Shape::Scalar || y.shape == Shape::Scalar;
-                    if !shapes_ok {
-                        r.push(
-                            LintCode::ScaleMismatch,
-                            at(a),
-                            format!(
-                                "{} input scales differ: {} vs {} (only scalar broadcast allowed)",
-                                a.kind, x.shape, y.shape
-                            ),
-                        );
-                    }
-                }
-            }
-            Switch => {
-                if let (Some(x), Some(y)) = (ins[1], ins[2]) {
-                    if x.dtype != y.dtype {
-                        r.push(
-                            LintCode::DtypeMismatch,
-                            at(a),
-                            format!("Switch data inputs mix dtypes {} and {}", x.dtype, y.dtype),
-                        );
-                    }
-                    if x.shape != y.shape {
-                        r.push(
-                            LintCode::ScaleMismatch,
-                            at(a),
-                            format!(
-                                "Switch data input scales differ: {} vs {}",
-                                x.shape, y.shape
-                            ),
-                        );
-                    }
-                    if let Some(c) = ins[0] {
-                        if c.shape != Shape::Scalar && c.shape != x.shape {
-                            r.push(
-                                LintCode::ScaleMismatch,
-                                at_port(a, 0),
-                                format!(
-                                    "Switch control scale {} is neither scalar nor the data scale {}",
-                                    c.shape, x.shape
-                                ),
-                            );
-                        }
-                    }
-                }
-            }
-            Conv | Conv2d | MatMul => {
-                if let (Some(x), Some(y)) = (ins[0], ins[1]) {
-                    if x.dtype != y.dtype {
-                        r.push(
-                            LintCode::DtypeMismatch,
-                            at(a),
-                            format!("{} inputs mix dtypes {} and {}", a.kind, x.dtype, y.dtype),
-                        );
-                    }
-                    if a.kind == MatMul {
-                        match (mat_dims(x), mat_dims(y)) {
-                            (Some((_, k1)), Some((k2, _))) if k1 != k2 => {
-                                r.push(
-                                    LintCode::ScaleMismatch,
-                                    at(a),
-                                    format!("MatMul inner dimensions differ: {k1} vs {k2}"),
-                                );
-                            }
-                            (None, _) | (_, None) => {
-                                r.push(
-                                    LintCode::ScaleMismatch,
-                                    at(a),
-                                    format!(
-                                        "MatMul needs matrix inputs, got {} and {}",
-                                        x.shape, y.shape
-                                    ),
-                                );
-                            }
-                            _ => {}
-                        }
-                    }
-                }
-            }
-            MatInv | MatDet => {
-                if let Some(t) = ins[0] {
-                    match mat_dims(t) {
-                        Some((rr, cc)) if rr != cc => {
-                            r.push(
-                                LintCode::ScaleMismatch,
-                                at(a),
-                                format!("{} needs a square matrix, got {rr}x{cc}", a.kind),
-                            );
-                        }
-                        None => {
-                            r.push(
-                                LintCode::ScaleMismatch,
-                                at(a),
-                                format!("{} needs a matrix input, got {}", a.kind, t.shape),
-                            );
-                        }
-                        _ => {}
-                    }
-                }
-            }
-            Ifft => {
-                if let Some(t) = ins[0] {
-                    if t.len() % 2 != 0 {
-                        r.push(
-                            LintCode::ScaleMismatch,
-                            at(a),
-                            format!(
-                                "IFFT input is interleaved complex and must have even length, got {}",
-                                t.len()
-                            ),
-                        );
-                    }
-                }
-            }
-            _ => {}
         }
     }
 }
@@ -671,7 +347,38 @@ fn lint_reachability(model: &Model, r: &mut LintReport) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hcg_model::{DataType, ModelBuilder};
+    use hcg_model::{DataType, ModelBuilder, SignalType};
+
+    fn f32v(n: usize) -> SignalType {
+        SignalType::vector(DataType::F32, n)
+    }
+
+    /// `x -> a -> y`, with `x` of type `ty` and `a` of `kind`.
+    fn unary(kind: ActorKind, ty: SignalType, params: &[(&str, Param)]) -> LintReport {
+        let mut b = ModelBuilder::new("unary");
+        let x = b.inport("x", ty);
+        let a = b.add_actor("a", kind);
+        for (name, value) in params {
+            b.set_param(a, *name, value.clone());
+        }
+        let y = b.outport("y");
+        b.connect(x, 0, a, 0);
+        b.connect(a, 0, y, 0);
+        lint_model(&b.build_unchecked())
+    }
+
+    /// `x, h -> a -> y`.
+    fn binary(kind: ActorKind, x_ty: SignalType, h_ty: SignalType) -> LintReport {
+        let mut b = ModelBuilder::new("binary");
+        let x = b.inport("x", x_ty);
+        let h = b.inport("h", h_ty);
+        let a = b.add_actor("a", kind);
+        let y = b.outport("y");
+        b.connect(x, 0, a, 0);
+        b.connect(h, 0, a, 1);
+        b.connect(a, 0, y, 0);
+        lint_model(&b.build_unchecked())
+    }
 
     fn clean_chain() -> Model {
         let mut b = ModelBuilder::new("chain");
@@ -736,7 +443,7 @@ mod tests {
 
     #[test]
     fn duplicate_input_driver_vs_duplicate_connection() {
-        // Same wire twice: warning only.
+        // Same wire twice: a repeated wire, not a second driver.
         let mut b = ModelBuilder::new("dupconn");
         let x = b.inport("x", SignalType::scalar(DataType::F32));
         let o = b.outport("y");
@@ -778,95 +485,42 @@ mod tests {
 
     #[test]
     fn missing_param() {
-        let mut b = ModelBuilder::new("noparam");
-        let x = b.inport("x", SignalType::vector(DataType::F32, 4));
-        let g = b.add_actor("g", ActorKind::Gain); // no "gain" param
-        let o = b.outport("y");
-        b.connect(x, 0, g, 0);
-        b.connect(g, 0, o, 0);
-        let r = lint_model(&b.build_unchecked());
-        assert!(r.has(LintCode::MissingParam));
+        // No "gain" parameter.
+        assert!(unary(ActorKind::Gain, f32v(4), &[]).has(LintCode::MissingParam));
     }
 
     #[test]
     fn bad_param_values() {
-        // Shift amount out of range.
-        let mut b = ModelBuilder::new("badshift");
-        let x = b.inport("x", SignalType::vector(DataType::I32, 4));
-        let s = b.add_actor("s", ActorKind::Shr);
-        b.set_param(s, "amount", Param::Int(99));
-        let o = b.outport("y");
-        b.connect(x, 0, s, 0);
-        b.connect(s, 0, o, 0);
-        let r = lint_model(&b.build_unchecked());
-        assert!(r.has(LintCode::BadParam));
-
-        // Saturate with inverted bounds.
-        let mut b = ModelBuilder::new("badsat");
-        let x = b.inport("x", SignalType::vector(DataType::F32, 4));
-        let s = b.add_actor("s", ActorKind::Saturate);
-        b.set_param(s, "min", Param::Float(2.0));
-        b.set_param(s, "max", Param::Float(-2.0));
-        let o = b.outport("y");
-        b.connect(x, 0, s, 0);
-        b.connect(s, 0, o, 0);
-        let r = lint_model(&b.build_unchecked());
-        assert!(r.has(LintCode::BadParam));
+        let i32v = SignalType::vector(DataType::I32, 4);
+        let shift = unary(ActorKind::Shr, i32v, &[("amount", Param::Int(99))]);
+        assert!(shift.has(LintCode::BadParam));
+        let bounds = [("min", Param::Float(2.0)), ("max", Param::Float(-2.0))];
+        assert!(unary(ActorKind::Saturate, f32v(4), &bounds).has(LintCode::BadParam));
     }
 
     #[test]
     fn dtype_mismatch_across_connection() {
-        let mut b = ModelBuilder::new("mixed");
-        let x = b.inport("x", SignalType::vector(DataType::I32, 4));
-        let y = b.inport("y", SignalType::vector(DataType::F32, 4));
-        let add = b.add_actor("sum", ActorKind::Add);
-        let o = b.outport("o");
-        b.connect(x, 0, add, 0);
-        b.connect(y, 0, add, 1);
-        b.connect(add, 0, o, 0);
-        let r = lint_model(&b.build_unchecked());
-        assert!(r.has(LintCode::DtypeMismatch));
+        let i32v = SignalType::vector(DataType::I32, 4);
+        assert!(binary(ActorKind::Add, i32v, f32v(4)).has(LintCode::DtypeMismatch));
     }
 
     #[test]
     fn scale_mismatch_across_connection() {
-        let mut b = ModelBuilder::new("scales");
-        let x = b.inport("x", SignalType::vector(DataType::F32, 4));
-        let y = b.inport("y", SignalType::vector(DataType::F32, 8));
-        let add = b.add_actor("sum", ActorKind::Add);
-        let o = b.outport("o");
-        b.connect(x, 0, add, 0);
-        b.connect(y, 0, add, 1);
-        b.connect(add, 0, o, 0);
-        let r = lint_model(&b.build_unchecked());
+        let r = binary(ActorKind::Add, f32v(4), f32v(8));
         assert!(r.has(LintCode::ScaleMismatch));
         assert!(!r.has(LintCode::DtypeMismatch));
     }
 
     #[test]
     fn scalar_broadcast_is_not_a_scale_mismatch() {
-        let mut b = ModelBuilder::new("bcast");
-        let x = b.inport("x", SignalType::vector(DataType::F32, 16));
-        let k = b.inport("k", SignalType::scalar(DataType::F32));
-        let mul = b.add_actor("scale", ActorKind::Mul);
-        let o = b.outport("o");
-        b.connect(x, 0, mul, 0);
-        b.connect(k, 0, mul, 1);
-        b.connect(mul, 0, o, 0);
-        let r = lint_model(&b.build().unwrap());
+        let r = binary(ActorKind::Mul, f32v(16), SignalType::scalar(DataType::F32));
         assert!(r.diagnostics.is_empty(), "unexpected: {}", r.render());
     }
 
     #[test]
     fn float_only_actor_with_int_input() {
-        let mut b = ModelBuilder::new("intfft");
-        let x = b.inport("x", SignalType::vector(DataType::I32, 8));
-        let f = b.add_actor("fft", ActorKind::Fft);
-        let o = b.outport("o");
-        b.connect(x, 0, f, 0);
-        b.connect(f, 0, o, 0);
-        let r = lint_model(&b.build_unchecked());
-        assert!(r.has(LintCode::DtypeMismatch));
+        let i32v = SignalType::vector(DataType::I32, 8);
+        assert!(unary(ActorKind::Fft, i32v, &[]).has(LintCode::DtypeMismatch));
     }
 
     #[test]

@@ -139,20 +139,17 @@ impl EditSession {
         self.stats
     }
 
-    /// Apply a delta through [`CompileSession::apply_delta`], which drops
-    /// the cached front end and dispatch. A
-    /// [data-only](ModelDelta::data_only) delta keeps the kept programs,
-    /// so [`EditSession::generate`] patches their initialisers; any other
-    /// delta drops them.
+    /// Apply a delta through [`CompileSession::apply_delta`]. A
+    /// [data-only](ModelDelta::data_only) delta keeps the cached front end
+    /// and dispatch and the kept programs, so [`EditSession::generate`]
+    /// patches their initialisers; any other delta drops all of them.
     ///
     /// # Errors
     ///
     /// Returns [`GenError::Model`] when an op fails to apply (unknown or
     /// duplicate actor name); the session is left unchanged in that case.
     pub fn apply_delta(&mut self, delta: &ModelDelta) -> Result<(), GenError> {
-        let data_only = delta.data_only(self.session.model());
-        self.session.apply_delta(delta)?;
-        if !data_only {
+        if !self.session.apply_delta(delta)? {
             self.kept.clear();
         }
         self.stats.edits_applied += 1;
@@ -169,7 +166,7 @@ impl EditSession {
     }
 
     /// The front end for the current model, computed on first call after
-    /// each edit.
+    /// each edit that is not data-only.
     ///
     /// # Errors
     ///

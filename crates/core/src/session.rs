@@ -63,21 +63,27 @@ impl CompileSession {
         &self.model
     }
 
-    /// Apply a [`ModelDelta`] to the session's model, dropping every cached
-    /// artifact — including a cached *error*: an edit that fixes an invalid
-    /// model makes subsequent [`CompileSession::validate`] calls succeed
-    /// rather than replaying the stale failure. ([`crate::EditSession`]
-    /// wraps a session to patch kept programs after data-only edits.)
+    /// Apply a [`ModelDelta`] to the session's model. A
+    /// [data-only](ModelDelta::data_only) delta keeps the cached front end
+    /// and dispatch: it changes neither types, schedule nor a shift amount.
+    /// Any other delta drops every cached artifact — including a cached
+    /// *error*: an edit that fixes an invalid model makes subsequent
+    /// [`CompileSession::validate`] calls succeed rather than replaying the
+    /// stale failure. Returns whether the delta was data-only
+    /// ([`crate::EditSession`] then patches its kept programs).
     ///
     /// # Errors
     ///
     /// Returns [`GenError::Model`] when an op fails to apply (unknown or
     /// duplicate actor name); the session is left unchanged in that case.
-    pub fn apply_delta(&mut self, delta: &ModelDelta) -> Result<(), GenError> {
+    pub fn apply_delta(&mut self, delta: &ModelDelta) -> Result<bool, GenError> {
+        let data_only = delta.data_only(&self.model);
         self.model = delta.apply(&self.model)?;
-        self.front = OnceLock::new();
-        self.dispatch = OnceLock::new();
-        Ok(())
+        if !data_only {
+            self.front = OnceLock::new();
+            self.dispatch = OnceLock::new();
+        }
+        Ok(data_only)
     }
 
     /// The cached front end (validated model + types + schedule), computing

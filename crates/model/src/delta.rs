@@ -334,13 +334,7 @@ impl ModelDelta {
 
 /// A numeric parameter's variant and element count; `None` for strings.
 fn numeric_shape(p: &Param) -> Option<(std::mem::Discriminant<Param>, usize)> {
-    let len = match p {
-        Param::Int(_) | Param::Float(_) => 1,
-        Param::IntVec(v) => v.len(),
-        Param::FloatVec(v) => v.len(),
-        Param::Str(_) => return None,
-    };
-    Some((std::mem::discriminant(p), len))
+    p.numeric_len().map(|len| (std::mem::discriminant(p), len))
 }
 
 /// Name-based model equivalence: same model name, same actors by

@@ -36,6 +36,7 @@
 
 mod actor;
 mod builder;
+mod check;
 mod frontend;
 mod model;
 mod tensor;
@@ -52,6 +53,7 @@ pub mod xml;
 
 pub use actor::{Actor, ActorId, ActorKind, KindClass, ParseActorKindError};
 pub use builder::ModelBuilder;
+pub use check::{ModelFault, ModelViolation, ParamFault};
 pub use delta::{EditOp, ModelDelta};
 pub use frontend::FrontEnd;
 pub use model::{Connection, Model, ModelError, PortRef, TypeMap};

@@ -324,6 +324,17 @@ pub enum Param {
 }
 
 impl Param {
+    /// The element count of a numeric parameter (1 for a scalar), or
+    /// `None` for a string.
+    pub(crate) fn numeric_len(&self) -> Option<usize> {
+        match self {
+            Param::Int(_) | Param::Float(_) => Some(1),
+            Param::IntVec(v) => Some(v.len()),
+            Param::FloatVec(v) => Some(v.len()),
+            Param::Str(_) => None,
+        }
+    }
+
     /// Interpret the parameter as an integer if possible.
     pub fn as_int(&self) -> Option<i64> {
         match self {

@@ -9,6 +9,8 @@
 //! 2. **Exhaustive collection** — deliberately malformed inputs produce
 //!    *all* of their expected diagnostics in a single analyzer run, not
 //!    just the first.
+//! 3. **One verdict** — the model lints report an error exactly when the
+//!    compiler's front end rejects the model, since both read one checker.
 
 use hcg::analysis::{lint_model, lint_model_file, lint_program, LintCode, Severity};
 use hcg::baselines::{DfSynthGen, SimulinkCoderGen};
@@ -17,7 +19,7 @@ use hcg::isa::Arch;
 use hcg::kernels::CodeLibrary;
 use hcg::model::op::ElemOp;
 use hcg::model::parser::model_from_xml;
-use hcg::model::{library, Model};
+use hcg::model::{library, ActorKind, DataType, Model, ModelBuilder, Param, SignalType};
 
 fn example_model_files() -> Vec<(String, String)> {
     let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/examples/models");
@@ -85,9 +87,8 @@ fn clean_fleet_over_example_files() {
     }
 }
 
-#[test]
-fn clean_fleet_over_library_models() {
-    let models: Vec<Model> = library::paper_benchmarks()
+fn library_models() -> Vec<Model> {
+    library::paper_benchmarks()
         .into_iter()
         .chain([
             library::fig2_model(),
@@ -96,8 +97,12 @@ fn clean_fleet_over_library_models() {
             library::mixed_width_model(128),
             library::matrix_pipeline_model(8),
         ])
-        .collect();
-    for model in models {
+        .collect()
+}
+
+#[test]
+fn clean_fleet_over_library_models() {
+    for model in library_models() {
         let report = lint_model(&model);
         assert!(
             !report.has_errors(),
@@ -212,11 +217,161 @@ fn severities_are_stable() {
     assert_eq!(LintCode::DeadStore.severity(), Severity::Warning);
     assert_eq!(LintCode::UnreachableActor.severity(), Severity::Warning);
     assert_eq!(LintCode::NeverReadBuffer.severity(), Severity::Warning);
+    // A repeated wire is a second driver to the compiler, and an
+    // unresolved type stops it: both are errors.
+    assert_eq!(LintCode::DuplicateConnection.severity(), Severity::Error);
+    assert_eq!(LintCode::UnresolvedType.severity(), Severity::Error);
     // Range lints (raised by `hcg-verify`'s abstract interpreter) are
     // advisory except the structural lane check.
     assert_eq!(LintCode::PossibleOverflow.severity(), Severity::Warning);
     assert_eq!(LintCode::PossibleDivByZero.severity(), Severity::Warning);
     assert_eq!(LintCode::LaneOutOfRange.severity(), Severity::Error);
+}
+
+/// `lint_model` has an error-severity finding exactly when `front_end`
+/// fails.
+fn assert_verdicts_agree(model: &Model, label: &str) {
+    let report = lint_model(model);
+    assert_eq!(
+        report.has_errors(),
+        model.front_end().is_err(),
+        "lint and compiler disagree on {label}: front end {:?}\n{}",
+        model.front_end().map(|_| ()),
+        report.render()
+    );
+}
+
+/// A one-actor chain `x -> kind -> y`, with `x` of type `ty`.
+fn unary(kind: ActorKind, ty: SignalType, params: &[(&str, Param)]) -> ModelBuilder {
+    let mut b = ModelBuilder::new(format!("probe_{kind}"));
+    let x = b.inport("x", ty);
+    let a = b.add_actor("a", kind);
+    for (name, value) in params {
+        b.set_param(a, *name, value.clone());
+    }
+    let y = b.outport("y");
+    b.connect(x, 0, a, 0);
+    b.connect(a, 0, y, 0);
+    b
+}
+
+/// A two-input chain `x, h -> kind -> y`.
+fn binary(kind: ActorKind, x_ty: SignalType, h_ty: SignalType) -> Model {
+    let mut b = ModelBuilder::new(format!("probe_{kind}"));
+    let x = b.inport("x", x_ty);
+    let h = b.inport("h", h_ty);
+    let a = b.add_actor("a", kind);
+    let y = b.outport("y");
+    b.connect(x, 0, a, 0);
+    b.connect(h, 0, a, 1);
+    b.connect(a, 0, y, 0);
+    b.build_unchecked()
+}
+
+/// Models on which the model lints and the compiler once disagreed, each
+/// with the lint code that now reports it.
+fn probe_models() -> Vec<(Model, LintCode)> {
+    let f32v = |n| SignalType::vector(DataType::F32, n);
+    let f32m = |r, c| SignalType::matrix(DataType::F32, r, c);
+    let text = |s: &str| Param::Str(s.to_owned());
+
+    let mut twice = ModelBuilder::new("probe_same_wire_twice");
+    let x = twice.inport("x", f32v(4));
+    let y = twice.outport("y");
+    twice.connect(x, 0, y, 0);
+    twice.connect(x, 0, y, 0);
+
+    let mut delay_loop = ModelBuilder::new("probe_untyped_loop");
+    let d = delay_loop.unit_delay("d", None);
+    let g = delay_loop.gain("g", 0.5);
+    let y = delay_loop.outport("y");
+    delay_loop.connect(d, 0, g, 0);
+    delay_loop.connect(g, 0, d, 0);
+    delay_loop.connect(g, 0, y, 0);
+
+    let saturate = [("min", Param::Float(5.0)), ("max", Param::Float(1.0))];
+    vec![
+        (twice.build_unchecked(), LintCode::DuplicateConnection),
+        (
+            binary(ActorKind::Conv, f32m(2, 2), f32m(2, 2)),
+            LintCode::ScaleMismatch,
+        ),
+        (
+            unary(ActorKind::Fft, f32m(4, 4), &[]).build_unchecked(),
+            LintCode::ScaleMismatch,
+        ),
+        (
+            unary(ActorKind::Fft2d, f32v(16), &[]).build_unchecked(),
+            LintCode::ScaleMismatch,
+        ),
+        (
+            binary(ActorKind::Conv2d, f32v(8), f32v(3)),
+            LintCode::ScaleMismatch,
+        ),
+        (delay_loop.build_unchecked(), LintCode::UnresolvedType),
+        (
+            unary(ActorKind::Saturate, f32v(4), &saturate).build_unchecked(),
+            LintCode::BadParam,
+        ),
+        (
+            unary(ActorKind::Cast, f32v(4), &[("to", text("f33"))]).build_unchecked(),
+            LintCode::BadParam,
+        ),
+        (
+            unary(ActorKind::UnitDelay, f32v(4), &[("type", text("garbage"))]).build_unchecked(),
+            LintCode::BadParam,
+        ),
+    ]
+}
+
+#[test]
+fn lint_and_compiler_reject_the_probe_models_alike() {
+    for (model, code) in probe_models() {
+        let report = lint_model(&model);
+        assert!(
+            report.has(code) && report.has_errors(),
+            "{} should lint with an error {code}:\n{}",
+            model.name,
+            report.render()
+        );
+        assert!(
+            model.front_end().is_err(),
+            "{} should be rejected by the compiler",
+            model.name
+        );
+    }
+}
+
+#[test]
+fn lint_and_compiler_verdicts_agree_on_bundled_library_and_fuzz_models() {
+    use hcg_fuzz::{generate_model, random_edit, EditOracleConfig, GenConfig};
+    use rand::{rngs::StdRng, SeedableRng};
+
+    for (path, text) in example_model_files() {
+        let model = model_from_xml(&text).expect("example parses");
+        assert_verdicts_agree(&model, &path);
+    }
+    for model in library_models() {
+        assert_verdicts_agree(&model, &model.name);
+    }
+    let cfg = GenConfig::default();
+    let max_actors = EditOracleConfig::default().max_actors;
+    let mut edits = 0;
+    for seed in 0..1_000u64 {
+        let mut model = generate_model(seed, &cfg);
+        assert_verdicts_agree(&model, &format!("seed {seed}"));
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut names = 0;
+        for edit in 0..12 {
+            let Some(delta) = random_edit(&model, &mut rng, &mut names, max_actors) else {
+                break;
+            };
+            model = delta.apply(&model).expect("random edits apply");
+            assert_verdicts_agree(&model, &format!("seed {seed} edit {edit}"));
+            edits += 1;
+        }
+    }
+    assert!(edits >= 10_000, "only {edits} random edits applied");
 }
 
 /// Build a looped `dst[i] = op(a[i], b[i])` program over i8 buffers — small

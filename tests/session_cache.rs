@@ -92,6 +92,38 @@ fn front_end_computed_exactly_once_per_session() {
     );
 }
 
+/// A data-only edit keeps the session's front end and dispatch: after a
+/// `Gain.gain` edit the Simulink Coder baseline, which has no patch path,
+/// recompiles without re-running type inference or scheduling, and still
+/// matches a scratch compile.
+#[test]
+fn data_only_edit_keeps_the_front_end() {
+    use hcg_core::EditSession;
+    use hcg_model::delta::EditOp;
+    use hcg_model::{ModelDelta, Param};
+
+    let mut session = EditSession::new(library::switch_model(64));
+    let coder = SimulinkCoderGen::new();
+    session.generate(&coder, Arch::Neon128).expect("generates");
+    session
+        .apply_delta(&ModelDelta::single(EditOp::SetParam {
+            name: "boost".into(),
+            param: "gain".into(),
+            value: Param::Float(3.0),
+        }))
+        .expect("edit applies");
+    let t0 = hcg_model::stats::type_inference_runs();
+    let s0 = hcg_model::stats::schedule_runs();
+    let edited = session.generate(&coder, Arch::Neon128).expect("generates");
+    assert_eq!(hcg_model::stats::type_inference_runs() - t0, 0);
+    assert_eq!(hcg_model::stats::schedule_runs() - s0, 0);
+    let scratch = coder
+        .generate(session.model(), Arch::Neon128)
+        .expect("generates");
+    assert_eq!(to_c_source(&edited), to_c_source(&scratch));
+    assert_eq!(edited, scratch);
+}
+
 /// Stage reports carry the paper's pipeline structure and plausible
 /// counters: HCG on the Figure 4 model forms one region and selects the
 /// three instructions of Listing 1.
