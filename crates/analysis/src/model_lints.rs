@@ -135,6 +135,7 @@ fn push_model_violation(
         NeedsVector(got) => format!("{kind} needs a vector input, got {got}"),
         NeedsVectors(x, y) => format!("{kind} needs vector inputs, got {x} and {y}"),
         EmptyInput => format!("{kind} input is empty"),
+        SizeOverflow => format!("{kind} output has more elements than fit a usize"),
         OddLength(len) => {
             format!("IFFT input is interleaved complex and must have even length, got {len}")
         }

@@ -99,8 +99,10 @@ pub enum ModelFault {
     NeedsVector(Shape),
     /// A kind that reads two vectors got these shapes.
     NeedsVectors(Shape, Shape),
-    /// A transform's input has no elements.
+    /// A transform's or convolution's input has no elements.
     EmptyInput,
+    /// The output's element count does not fit a `usize`.
+    SizeOverflow,
     /// An `Ifft` input (interleaved complex) has odd length.
     OddLength(usize),
     /// Inference could not type the actor's output (an untyped feedback
@@ -368,7 +370,12 @@ impl<'m> Walk<'m> {
                     continue;
                 }
                 let ins = self.inputs(a);
-                let slot = self.rule(a, ins);
+                let slot = match self.rule(a, ins) {
+                    Slot::Known(t) if elements(t.shape).is_none() => {
+                        self.fail(a, ModelFault::SizeOverflow)
+                    }
+                    slot => slot,
+                };
                 if !matches!(slot, Slot::Open) {
                     self.slots[a.id.0] = slot;
                     progressed = true;
@@ -418,7 +425,15 @@ impl<'m> Walk<'m> {
                 };
                 let dtype = x.dtype;
                 match (a.kind, x.shape, y.shape) {
-                    (Conv, ..) => Slot::Known(SignalType::vector(dtype, x.len() + y.len() - 1)),
+                    (Conv, ..) | (Conv2d, Shape::Matrix(..), Shape::Matrix(..))
+                        if x.is_empty() || y.is_empty() =>
+                    {
+                        self.fail(a, ModelFault::EmptyInput)
+                    }
+                    (Conv, ..) => {
+                        let len = x.len().checked_add(y.len() - 1);
+                        self.sized(a, len.map(|n| SignalType::vector(dtype, n)))
+                    }
                     (MatMul, Shape::Matrix(r, k1), Shape::Matrix(k2, c)) => {
                         if k1 != k2 {
                             self.at(a, ModelFault::InnerDims(k1, k2));
@@ -426,14 +441,23 @@ impl<'m> Walk<'m> {
                         Slot::Known(SignalType::matrix(dtype, r, c))
                     }
                     (Conv2d, Shape::Matrix(r1, c1), Shape::Matrix(r2, c2)) => {
-                        Slot::Known(SignalType::matrix(dtype, r1 + r2 - 1, c1 + c2 - 1))
+                        let rows = r1.checked_add(r2 - 1);
+                        let cols = c1.checked_add(c2 - 1);
+                        let t = rows.zip(cols).map(|(r, c)| SignalType::matrix(dtype, r, c));
+                        self.sized(a, t)
                     }
                     _ => self.fail(a, ModelFault::NeedsMatrices(x.shape, y.shape)),
                 }
             }
             MatInv | Dct2d => known(ins[0]),
             MatDet => known(ins[0].map(|t| SignalType::scalar(t.dtype))),
-            Fft => known(ins[0].map(|t| SignalType::vector(t.dtype, t.len() * 2))),
+            Fft => match ins[0] {
+                Some(t) => {
+                    let len = t.len().checked_mul(2);
+                    self.sized(a, len.map(|n| SignalType::vector(t.dtype, n)))
+                }
+                None => Slot::Open,
+            },
             Ifft => match ins[0] {
                 Some(t) if t.len() % 2 != 0 => self.fail(a, ModelFault::OddLength(t.len())),
                 t => known(t.map(|t| SignalType::vector(t.dtype, t.len() / 2))),
@@ -441,11 +465,20 @@ impl<'m> Walk<'m> {
             Dct | Idct => known(ins[0].map(|t| SignalType::vector(t.dtype, t.len()))),
             Fft2d => match ins[0].map(|t| (t, t.shape)) {
                 Some((t, Shape::Matrix(r, c))) => {
-                    Slot::Known(SignalType::matrix(t.dtype, r, c * 2))
+                    let cols = c.checked_mul(2);
+                    self.sized(a, cols.map(|c| SignalType::matrix(t.dtype, r, c)))
                 }
                 Some((_, other)) => self.fail(a, ModelFault::NeedsMatrix(other)),
                 None => Slot::Open,
             },
+        }
+    }
+
+    /// `t` as `a`'s output type; `None` is a size that overflowed.
+    fn sized(&mut self, a: &Actor, t: Option<SignalType>) -> Slot {
+        match t {
+            Some(t) => Slot::Known(t),
+            None => self.fail(a, ModelFault::SizeOverflow),
         }
     }
 
@@ -589,6 +622,14 @@ impl<'m> Walk<'m> {
     }
 }
 
+/// How many elements `shape` holds, when that fits a `usize`.
+fn elements(shape: Shape) -> Option<usize> {
+    match shape {
+        Shape::Matrix(r, c) => r.checked_mul(c),
+        other => Some(other.len()),
+    }
+}
+
 /// A `Cast`'s target dtype, when its `to` parameter names one.
 fn cast_target(a: &Actor) -> Option<DataType> {
     match a.param("to") {
@@ -643,6 +684,7 @@ impl ModelViolation {
             NeedsVector(_) => "expected vector input".to_owned(),
             NeedsVectors(..) => "expected vector inputs".to_owned(),
             EmptyInput => "empty input".to_owned(),
+            SizeOverflow => "output size overflows".to_owned(),
             OddLength(_) => "IFFT input length must be even".to_owned(),
         };
         ModelError::TypeMismatch { actor, message }
@@ -753,6 +795,56 @@ mod tests {
     fn conv_output_length() {
         let m = binary(ActorKind::Conv, f32v(100), f32v(9));
         assert_eq!(out_type(&m), f32v(108));
+    }
+
+    #[test]
+    fn empty_and_overflowing_sizes_are_rejected() {
+        let mat = |r, c| SignalType::matrix(DataType::F32, r, c);
+        let big = usize::MAX / 2 + 1;
+        let cases = [
+            (
+                binary(ActorKind::Conv, f32v(0), f32v(0)),
+                ModelFault::EmptyInput,
+            ),
+            (
+                binary(ActorKind::Conv, f32v(5), f32v(0)),
+                ModelFault::EmptyInput,
+            ),
+            (
+                binary(ActorKind::Conv2d, mat(0, 3), mat(2, 2)),
+                ModelFault::EmptyInput,
+            ),
+            (
+                binary(ActorKind::Conv, f32v(usize::MAX), f32v(2)),
+                ModelFault::SizeOverflow,
+            ),
+            (
+                binary(ActorKind::Conv2d, mat(big, 1), mat(big + 1, 1)),
+                ModelFault::SizeOverflow,
+            ),
+            (
+                unary(ActorKind::Fft, f32v(big), &[]),
+                ModelFault::SizeOverflow,
+            ),
+            (
+                unary(ActorKind::Fft2d, mat(2, big), &[]),
+                ModelFault::SizeOverflow,
+            ),
+            // Each input fits; their product does not.
+            (
+                binary(ActorKind::MatMul, mat(big, 1), mat(1, 4)),
+                ModelFault::SizeOverflow,
+            ),
+            (
+                unary(ActorKind::Neg, mat(big, 4), &[]),
+                ModelFault::SizeOverflow,
+            ),
+        ];
+        for (m, fault) in cases {
+            let faults: Vec<_> = m.check().into_iter().map(|v| v.fault).collect();
+            assert_eq!(faults.first(), Some(&fault), "{faults:?}");
+            assert!(m.infer_types().is_err());
+        }
     }
 
     #[test]

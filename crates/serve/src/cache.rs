@@ -1,11 +1,11 @@
 //! The sharded, content-addressed artifact cache.
 //!
 //! The cache is split into N independent shards selected by the key's high
-//! hash word; each shard is guarded by its own `RwLock`, so concurrent
-//! requests for different keys rarely contend. Lookups take the shard's
-//! *read* lock and bump an atomic recency stamp; admissions take the
-//! *write* lock and evict least-recently-used entries until the shard fits
-//! its byte budget again.
+//! hash word; each shard is guarded by its own `Mutex`, so concurrent
+//! requests for different keys rarely contend. Each shard keeps its
+//! entries in an exact recency order (`lru::Lru`): a lookup makes its entry
+//! the newest, and an admission pops the oldest entries until the shard
+//! fits its byte budget again, each step O(1) whatever the shard holds.
 //!
 //! Persistence is pluggable behind [`ArtifactStore`]: [`MemoryStore`]
 //! keeps artifacts only in the in-memory index, [`DiskStore`] mirrors
@@ -14,11 +14,10 @@
 //! one backs the cache hold it as a `dyn` [`ArtifactProvider`].
 
 use crate::key::ContentKey;
-use std::collections::HashMap;
+use crate::lru::Lru;
 use std::io;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, Mutex};
 
 /// The result of one compile: the generated C source, or the front-end /
 /// synthesis error text. Failures are cached too (negative caching), so a
@@ -74,7 +73,7 @@ impl Outcome {
     }
 }
 
-/// Persistence hooks invoked under the owning shard's write lock.
+/// Persistence hooks invoked under the owning shard's lock.
 pub trait ArtifactStore: Send + Sync {
     /// Persist `outcome` under `key` (no-op for memory-only stores).
     fn persist(&self, key: ContentKey, outcome: &Outcome);
@@ -99,6 +98,11 @@ impl ArtifactStore for MemoryStore {
 /// Disk-backed persistence: one `<hex key>.art` file per artifact under a
 /// root directory. A cache constructed over a previously-used root starts
 /// warm — every artifact still on disk is preloaded into the index.
+///
+/// An artifact is written to `<hex key>.art.tmp`, then renamed into place,
+/// so a process that dies mid-write leaves at most a stray `.tmp` file,
+/// never a truncated `.art`; preload deletes any `.tmp` it finds. Nothing
+/// is synced to disk, so a power cut can still leave a short `.art`.
 #[derive(Debug, Clone)]
 pub struct DiskStore {
     root: PathBuf,
@@ -134,7 +138,13 @@ impl ArtifactStore for DiskStore {
     fn persist(&self, key: ContentKey, outcome: &Outcome) {
         // Persistence is best-effort: a full disk degrades the cache to
         // memory-only behavior rather than failing the request.
-        let _ = std::fs::write(self.path_for(key), outcome.to_disk_bytes());
+        let path = self.path_for(key);
+        let tmp = path.with_extension("art.tmp");
+        if std::fs::write(&tmp, outcome.to_disk_bytes()).is_err()
+            || std::fs::rename(&tmp, &path).is_err()
+        {
+            let _ = std::fs::remove_file(&tmp);
+        }
     }
 
     fn discard(&self, key: ContentKey) {
@@ -148,8 +158,14 @@ impl ArtifactStore for DiskStore {
         let mut out = Vec::new();
         for entry in entries.flatten() {
             let path = entry.path();
-            if path.extension().and_then(|e| e.to_str()) != Some("art") {
-                continue;
+            match path.extension().and_then(|e| e.to_str()) {
+                Some("art") => {}
+                // A write that never reached its rename.
+                Some("tmp") => {
+                    let _ = std::fs::remove_file(&path);
+                    continue;
+                }
+                _ => continue,
             }
             let Some(key) = path
                 .file_stem()
@@ -171,21 +187,10 @@ impl ArtifactStore for DiskStore {
     }
 }
 
-/// One cached artifact plus its LRU bookkeeping.
-#[derive(Debug)]
-struct Entry {
-    outcome: Outcome,
-    bytes: usize,
-    /// Recency stamp from the cache-wide logical clock. Updated with a
-    /// relaxed store under the shard *read* lock — stamps order evictions,
-    /// they do not synchronize data.
-    stamp: AtomicU64,
-}
-
-/// One shard: an index plus its current payload byte total.
+/// One shard: its artifacts in recency order plus their payload byte total.
 #[derive(Debug, Default)]
 struct Shard {
-    index: HashMap<ContentKey, Entry>,
+    index: Lru<ContentKey, Outcome>,
     bytes: usize,
 }
 
@@ -219,10 +224,9 @@ pub trait ArtifactProvider: Send + Sync {
 /// The sharded LRU cache over a persistence store.
 #[derive(Debug)]
 pub struct ShardedCache<S: ArtifactStore> {
-    shards: Vec<RwLock<Shard>>,
+    shards: Vec<Mutex<Shard>>,
     store: S,
     budget_per_shard: usize,
-    clock: AtomicU64,
 }
 
 impl<S: ArtifactStore> ShardedCache<S> {
@@ -231,10 +235,9 @@ impl<S: ArtifactStore> ShardedCache<S> {
     /// `shards` is clamped to at least 1.
     pub fn new(shards: usize, budget_per_shard: usize, store: S) -> Self {
         let cache = ShardedCache {
-            shards: (0..shards.max(1)).map(|_| RwLock::default()).collect(),
+            shards: (0..shards.max(1)).map(|_| Mutex::default()).collect(),
             store,
             budget_per_shard,
-            clock: AtomicU64::new(1),
         };
         for (key, outcome) in cache.store.preload() {
             cache.admit(key, outcome);
@@ -242,26 +245,21 @@ impl<S: ArtifactStore> ShardedCache<S> {
         cache
     }
 
-    fn shard(&self, key: ContentKey) -> &RwLock<Shard> {
-        &self.shards[key.shard(self.shards.len())]
-    }
-
-    fn next_stamp(&self) -> u64 {
-        self.clock.fetch_add(1, Ordering::Relaxed)
+    fn shard(&self, key: ContentKey) -> std::sync::MutexGuard<'_, Shard> {
+        self.shards[key.shard(self.shards.len())]
+            .lock()
+            .expect("cache shard poisoned")
     }
 }
 
 impl<S: ArtifactStore> ArtifactProvider for ShardedCache<S> {
     fn fetch(&self, key: ContentKey) -> Option<Outcome> {
-        let shard = self.shard(key).read().expect("cache shard poisoned");
-        let entry = shard.index.get(&key)?;
-        entry.stamp.store(self.next_stamp(), Ordering::Relaxed);
-        Some(entry.outcome.clone())
+        self.shard(key).index.get(&key).cloned()
     }
 
     fn admit(&self, key: ContentKey, outcome: Outcome) -> AdmitReport {
         let bytes = outcome.byte_len();
-        let mut shard = self.shard(key).write().expect("cache shard poisoned");
+        let mut shard = self.shard(key);
         if shard.index.contains_key(&key) {
             return AdmitReport::default();
         }
@@ -273,43 +271,32 @@ impl<S: ArtifactStore> ArtifactProvider for ShardedCache<S> {
         // An artifact bigger than the whole budget still goes in (over an
         // emptied shard): refusing it would force a recompile on every
         // request, the worst possible cache behavior.
-        while shard.bytes + bytes > self.budget_per_shard && !shard.index.is_empty() {
-            let victim = *shard
-                .index
-                .iter()
-                .min_by_key(|(_, e)| e.stamp.load(Ordering::Relaxed))
-                .map(|(k, _)| k)
-                .expect("non-empty index has a minimum");
-            let evicted = shard.index.remove(&victim).expect("victim present");
-            shard.bytes -= evicted.bytes;
+        while shard.bytes + bytes > self.budget_per_shard {
+            let Some((victim, evicted)) = shard.index.pop_oldest() else {
+                break;
+            };
+            shard.bytes -= evicted.byte_len();
             report.evicted += 1;
-            report.evicted_bytes += evicted.bytes as u64;
+            report.evicted_bytes += evicted.byte_len() as u64;
             self.store.discard(victim);
         }
         self.store.persist(key, &outcome);
         shard.bytes += bytes;
-        shard.index.insert(
-            key,
-            Entry {
-                outcome,
-                bytes,
-                stamp: AtomicU64::new(self.next_stamp()),
-            },
-        );
+        shard.index.insert(key, outcome);
         report
     }
 
     fn entries(&self) -> usize {
         self.shards
             .iter()
-            .map(|s| s.read().expect("cache shard poisoned").index.len())
+            .map(|s| s.lock().expect("cache shard poisoned").index.len())
             .sum()
     }
 
     fn bytes(&self) -> usize {
         self.shards
             .iter()
-            .map(|s| s.read().expect("cache shard poisoned").bytes)
+            .map(|s| s.lock().expect("cache shard poisoned").bytes)
             .sum()
     }
 
@@ -372,6 +359,40 @@ mod tests {
         assert_eq!(cache.bytes(), 8);
     }
 
+    /// A memory-only store that records every discarded key in order.
+    #[derive(Default)]
+    struct DiscardLog(Mutex<Vec<ContentKey>>);
+
+    impl ArtifactStore for &DiscardLog {
+        fn persist(&self, _key: ContentKey, _outcome: &Outcome) {}
+        fn discard(&self, key: ContentKey) {
+            self.0.lock().unwrap().push(key);
+        }
+        fn preload(&self) -> Vec<(ContentKey, Outcome)> {
+            Vec::new()
+        }
+    }
+
+    #[test]
+    fn eviction_takes_the_unfetched_entries_oldest_first() {
+        const N: u64 = 64;
+        let log = DiscardLog::default();
+        // One shard that holds exactly N 4-byte entries.
+        let cache = ShardedCache::new(1, 4 * N as usize, &log);
+        for n in 0..N {
+            cache.admit(key(n), ok("aaaa"));
+        }
+        for n in (0..N).step_by(2) {
+            cache.fetch(key(n)).unwrap();
+        }
+        for n in N..N + N / 2 {
+            assert_eq!(cache.admit(key(n), ok("bbbb")).evicted, 1);
+        }
+        let unfetched: Vec<_> = (1..N).step_by(2).map(key).collect();
+        assert_eq!(*log.0.lock().unwrap(), unfetched);
+        assert_eq!(cache.entries(), N as usize);
+    }
+
     #[test]
     fn oversized_artifact_empties_shard_but_is_admitted() {
         let cache = ShardedCache::new(1, 8, MemoryStore);
@@ -404,7 +425,7 @@ mod tests {
         let occupied = cache
             .shards
             .iter()
-            .filter(|s| !s.read().unwrap().index.is_empty())
+            .filter(|s| s.lock().unwrap().index.len() > 0)
             .count();
         assert!(occupied >= 4, "64 hashed keys occupy ≥ half the shards");
     }
@@ -433,6 +454,30 @@ mod tests {
         assert!(survivors <= 1, "4-byte budget keeps at most one artifact");
         let on_disk = std::fs::read_dir(&dir).unwrap().count();
         assert_eq!(on_disk, survivors);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn disk_store_ignores_and_removes_half_written_artifacts() {
+        let dir = std::env::temp_dir().join(format!("hcg-serve-tmp-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = DiskStore::new(&dir).unwrap();
+        ShardedCache::new(1, 1 << 20, store.clone()).admit(key(1), ok("whole source"));
+        // Two writes cut short before their rename: one over the artifact
+        // already on disk, one for an artifact that never landed.
+        let tmp = |k| store.path_for(k).with_extension("art.tmp");
+        std::fs::write(tmp(key(1)), b"ok\nwhole so").unwrap();
+        std::fs::write(tmp(key(2)), b"ok\nhalf").unwrap();
+        let warm = ShardedCache::new(1, 1 << 20, store.clone());
+        assert_eq!(warm.entries(), 1);
+        assert_eq!(warm.fetch(key(1)).unwrap().text(), "whole source");
+        assert!(warm.fetch(key(2)).is_none());
+        let mut left: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        left.sort();
+        assert_eq!(left, [store.path_for(key(1)).file_name().unwrap()]);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

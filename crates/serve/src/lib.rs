@@ -63,6 +63,7 @@ pub mod cache;
 pub mod client;
 pub mod http;
 pub mod key;
+mod lru;
 pub mod server;
 pub mod telemetry;
 

@@ -13,6 +13,7 @@
 use crate::cache::{ArtifactProvider, DiskStore, MemoryStore, Outcome, ShardedCache};
 use crate::http::{self, HttpError, Request, Response};
 use crate::key::{CompileOptions, ContentKey};
+use crate::lru::Lru;
 use crate::telemetry::{
     format_trace_id, parse_trace_id, AccessLog, FlightRecorder, RequestRecord, ServeHists,
     TraceIdGen,
@@ -133,11 +134,12 @@ serve_counters! {
 }
 
 /// Count-capped LRU of parsed front ends, keyed by model bytes only so
-/// every option combination over one model shares a session.
-#[derive(Debug, Default)]
+/// every option combination over one model shares a session. A lookup
+/// makes its session the newest; an insert over the cap evicts the least
+/// recently used.
+#[derive(Debug)]
 struct SessionCache {
-    entries: Mutex<HashMap<ContentKey, (Arc<CompileSession>, u64)>>,
-    clock: AtomicU64,
+    entries: Mutex<Lru<ContentKey, Arc<CompileSession>>>,
     capacity: usize,
 }
 
@@ -145,32 +147,22 @@ impl SessionCache {
     fn new(capacity: usize) -> Self {
         SessionCache {
             entries: Mutex::default(),
-            clock: AtomicU64::new(1),
             capacity: capacity.max(1),
         }
     }
 
     fn get(&self, key: ContentKey) -> Option<Arc<CompileSession>> {
         let mut entries = self.entries.lock().expect("session cache poisoned");
-        let stamp = self.clock.fetch_add(1, Ordering::Relaxed);
-        let (session, recency) = entries.get_mut(&key)?;
-        *recency = stamp;
-        Some(Arc::clone(session))
+        entries.get(&key).cloned()
     }
 
     /// Insert, returning how many sessions were evicted to stay in cap.
     fn insert(&self, key: ContentKey, session: Arc<CompileSession>) -> usize {
         let mut entries = self.entries.lock().expect("session cache poisoned");
-        let stamp = self.clock.fetch_add(1, Ordering::Relaxed);
-        entries.insert(key, (session, stamp));
+        entries.insert(key, session);
         let mut evicted = 0;
         while entries.len() > self.capacity {
-            let victim = *entries
-                .iter()
-                .min_by_key(|(_, (_, recency))| *recency)
-                .map(|(k, _)| k)
-                .expect("over-capacity map is non-empty");
-            entries.remove(&victim);
+            entries.pop_oldest();
             evicted += 1;
         }
         evicted
@@ -224,6 +216,43 @@ struct ServeState {
     telemetry: Telemetry,
     shutdown: AtomicBool,
     addr: SocketAddr,
+}
+
+impl ServeState {
+    /// The daemon's caches, counters and telemetry for `config`, serving
+    /// at `addr`.
+    fn new(config: &ServeConfig, addr: SocketAddr) -> io::Result<Self> {
+        let cache: Box<dyn ArtifactProvider> = match &config.disk_root {
+            Some(root) => Box::new(ShardedCache::new(
+                config.shards,
+                config.shard_budget,
+                DiskStore::new(root)?,
+            )),
+            None => Box::new(ShardedCache::new(
+                config.shards,
+                config.shard_budget,
+                MemoryStore,
+            )),
+        };
+        let telemetry = Telemetry {
+            hists: config.record_histograms.then(ServeHists::new),
+            access_log: match &config.access_log {
+                Some(path) => Some(AccessLog::open(path)?),
+                None => None,
+            },
+            recorder: FlightRecorder::new(config.flight_capacity),
+            trace_ids: TraceIdGen::new(config.trace_seed),
+        };
+        Ok(ServeState {
+            cache,
+            sessions: SessionCache::new(config.session_capacity),
+            inflight: Mutex::default(),
+            counters: Arc::new(ServeCounters::default()),
+            telemetry,
+            shutdown: AtomicBool::new(false),
+            addr,
+        })
+    }
 }
 
 /// One accepted connection in flight from the accept thread to a worker:
@@ -311,37 +340,7 @@ impl Drop for ServeHandle {
 /// cache root cannot be created.
 pub fn spawn(config: ServeConfig) -> io::Result<ServeHandle> {
     let listener = TcpListener::bind(&config.addr)?;
-    let addr = listener.local_addr()?;
-    let cache: Box<dyn ArtifactProvider> = match &config.disk_root {
-        Some(root) => Box::new(ShardedCache::new(
-            config.shards,
-            config.shard_budget,
-            DiskStore::new(root)?,
-        )),
-        None => Box::new(ShardedCache::new(
-            config.shards,
-            config.shard_budget,
-            MemoryStore,
-        )),
-    };
-    let telemetry = Telemetry {
-        hists: config.record_histograms.then(ServeHists::new),
-        access_log: match &config.access_log {
-            Some(path) => Some(AccessLog::open(path)?),
-            None => None,
-        },
-        recorder: FlightRecorder::new(config.flight_capacity),
-        trace_ids: TraceIdGen::new(config.trace_seed),
-    };
-    let state = Arc::new(ServeState {
-        cache,
-        sessions: SessionCache::new(config.session_capacity),
-        inflight: Mutex::default(),
-        counters: Arc::new(ServeCounters::default()),
-        telemetry,
-        shutdown: AtomicBool::new(false),
-        addr,
-    });
+    let state = Arc::new(ServeState::new(&config, listener.local_addr()?)?);
 
     let (tx, rx) = mpsc::channel::<Conn>();
     let accept_state = Arc::clone(&state);
@@ -690,7 +689,13 @@ fn run_compile(state: &ServeState, options: &CompileOptions, model_bytes: &[u8])
     };
     let generator = options.build_generator();
     match session.generate(generator.as_ref(), options.arch) {
-        Ok(program) => Outcome::Success(Arc::new(to_c_source(&program))),
+        Ok(program) => {
+            // The cache budget counts `len()` bytes; `to_c_source`
+            // reserves more than it writes, so hold only what it wrote.
+            let mut c = to_c_source(&program);
+            c.shrink_to_fit();
+            Outcome::Success(Arc::new(c))
+        }
         Err(e) => Outcome::Failure(Arc::new(format!("compile failed: {e}"))),
     }
 }
@@ -702,4 +707,65 @@ fn respond(outcome: &Outcome, cache_status: &str, key: ContentKey) -> Response {
         // The first 16 hex digits are plenty to find the artifact (the
         // access log and flight recorder key requests by this prefix).
         .with_header("X-Content-Key", &key.hex()[..16])
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::client;
+    use hcg_model::library::{fig2_model, fig4_model, highpass_model};
+    use hcg_model::parser::model_to_xml;
+
+    #[test]
+    fn session_cache_evicts_the_least_recently_used_model() {
+        let handle = spawn(ServeConfig {
+            workers: 1,
+            session_capacity: 2,
+            ..ServeConfig::default()
+        })
+        .unwrap();
+        let [a, b, c] = [fig2_model(), fig4_model(), highpass_model(64)].map(|m| model_to_xml(&m));
+        // Each request names an arch its model has not been compiled for,
+        // so it misses the artifact cache and reaches the session cache.
+        let compile = |arch: &str, xml: &str| {
+            let query = format!("arch={arch}");
+            let response = client::compile(handle.addr(), &query, xml.as_bytes()).unwrap();
+            assert_eq!(response.status, 200, "{}", response.text());
+            assert_eq!(response.header("x-cache"), Some("miss"));
+        };
+        let counters = handle.counters();
+        let sessions = || {
+            let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
+            let c = &counters;
+            (
+                load(&c.session_hits),
+                load(&c.session_misses),
+                load(&c.session_evicted),
+            )
+        };
+        compile("neon128", &a);
+        compile("neon128", &b);
+        compile("avx256", &a); // A becomes newer than B.
+        compile("neon128", &c); // Over the cap: B, the oldest, goes.
+        assert_eq!(sessions(), (1, 3, 1));
+        compile("sse128", &a);
+        assert_eq!(sessions(), (2, 3, 1), "A was kept");
+        compile("avx256", &b);
+        assert_eq!(sessions(), (2, 4, 2), "B was evicted");
+        assert_eq!(handle.session_entries(), 2);
+        handle.shutdown();
+    }
+
+    #[test]
+    fn compiled_c_is_held_at_its_length() {
+        let config = ServeConfig::default();
+        let state = ServeState::new(&config, "127.0.0.1:0".parse().unwrap()).unwrap();
+        let options = CompileOptions::from_query(|_| None).unwrap();
+        let xml = model_to_xml(&fig2_model());
+        let Outcome::Success(c) = run_compile(&state, &options, xml.as_bytes()) else {
+            panic!("fig2 compiles");
+        };
+        assert!(!c.is_empty());
+        assert_eq!(c.capacity(), c.len());
+    }
 }

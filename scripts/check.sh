@@ -55,12 +55,15 @@ CARGO_TARGET_DIR=.bench_build cargo run -q --release --offline --locked \
 tail -n 1 target/ledger-serve-smoke.txt | grep -q '"correct": true'
 tail -n 1 target/ledger-serve-smoke.txt | grep -q '"failed": 0,'
 
-echo "==> ledger serve-cold smoke (one short traced run: every request a new model, parsed, compiled and admitted; served bodies match, no op fails)"
+echo "==> ledger serve-cold smoke (one short traced run: every request a new model, parsed, compiled and admitted; served bodies match, no op fails, the full cache evicts)"
 CARGO_TARGET_DIR=.bench_build cargo run -q --release --offline --locked \
     --manifest-path ledger/Cargo.toml -- run --workload serve-cold --seed 1 \
     --seconds 2 --trace 1 --out target/ledger-smoke > target/ledger-serve-cold-smoke.txt
 tail -n 1 target/ledger-serve-cold-smoke.txt | grep -q '"correct": true'
 tail -n 1 target/ledger-serve-cold-smoke.txt | grep -q '"failed": 0,'
+tail -n 1 target/ledger-serve-cold-smoke.txt \
+    | grep -oE '"serve\.cache\.evictions_per_kreq": \{"value": [0-9.]+' \
+    | awk '{ v = $NF } END { exit !(v > 0) }'
 
 echo "==> lint example models"
 cargo run -q --release -p hcg-bench --bin lint -- examples/models/*.xml

@@ -268,8 +268,8 @@ fn binary(kind: ActorKind, x_ty: SignalType, h_ty: SignalType) -> Model {
     b.build_unchecked()
 }
 
-/// Models on which the model lints and the compiler once disagreed, each
-/// with the lint code that now reports it.
+/// Models on which the model lints and the compiler once disagreed, or
+/// both wrongly accepted, each with the lint code that now reports it.
 fn probe_models() -> Vec<(Model, LintCode)> {
     let f32v = |n| SignalType::vector(DataType::F32, n);
     let f32m = |r, c| SignalType::matrix(DataType::F32, r, c);
@@ -320,6 +320,17 @@ fn probe_models() -> Vec<(Model, LintCode)> {
         (
             unary(ActorKind::UnitDelay, f32v(4), &[("type", text("garbage"))]).build_unchecked(),
             LintCode::BadParam,
+        ),
+        // Sizes once computed with unchecked arithmetic: an empty `Conv`
+        // typed its output as `usize::MAX` elements, and a product of two
+        // fitting matrix shapes could overflow.
+        (
+            binary(ActorKind::Conv, f32v(0), f32v(0)),
+            LintCode::ScaleMismatch,
+        ),
+        (
+            binary(ActorKind::MatMul, f32m(1 << 33, 1), f32m(1, 1 << 33)),
+            LintCode::ScaleMismatch,
         ),
     ]
 }
