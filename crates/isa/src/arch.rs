@@ -73,60 +73,54 @@ impl Arch {
         }
     }
 
-    /// NEON-style type suffix (`s32`, `u8`, `f32`) used by intrinsic names.
-    pub const fn neon_suffix(dtype: DataType) -> &'static str {
+    /// The C call that loads one vector register, up to its pointer
+    /// argument (`vld1q_s32(`, `_mm_loadu_si128((const __m128i*)`): the
+    /// load from `&x[i]` is this, then `&x[i])`.
+    pub const fn load_call(self, dtype: DataType) -> &'static str {
         use DataType::*;
-        match dtype {
-            I8 => "s8",
-            I16 => "s16",
-            I32 => "s32",
-            I64 => "s64",
-            U8 => "u8",
-            U16 => "u16",
-            U32 => "u32",
-            U64 => "u64",
-            F32 => "f32",
-            F64 => "f64",
+        match (self, dtype) {
+            (Arch::Neon128, I8) => "vld1q_s8(",
+            (Arch::Neon128, I16) => "vld1q_s16(",
+            (Arch::Neon128, I32) => "vld1q_s32(",
+            (Arch::Neon128, I64) => "vld1q_s64(",
+            (Arch::Neon128, U8) => "vld1q_u8(",
+            (Arch::Neon128, U16) => "vld1q_u16(",
+            (Arch::Neon128, U32) => "vld1q_u32(",
+            (Arch::Neon128, U64) => "vld1q_u64(",
+            (Arch::Neon128, F32) => "vld1q_f32(",
+            (Arch::Neon128, F64) => "vld1q_f64(",
+            (Arch::Sse128, F32) => "_mm_loadu_ps(",
+            (Arch::Sse128, F64) => "_mm_loadu_pd(",
+            (Arch::Sse128, _) => "_mm_loadu_si128((const __m128i*)",
+            (Arch::Avx256, F32) => "_mm256_loadu_ps(",
+            (Arch::Avx256, F64) => "_mm256_loadu_pd(",
+            (Arch::Avx256, _) => "_mm256_loadu_si256((const __m256i*)",
         }
     }
 
-    /// The C expression loading one vector register from `ptr`.
-    pub fn load_expr<P: fmt::Display>(self, dtype: DataType, ptr: P) -> impl fmt::Display {
-        fmt::from_fn(move |f| match self {
-            Arch::Neon128 => write!(f, "vld1q_{}({})", Self::neon_suffix(dtype), ptr),
-            Arch::Sse128 => match dtype {
-                DataType::F32 => write!(f, "_mm_loadu_ps({ptr})"),
-                DataType::F64 => write!(f, "_mm_loadu_pd({ptr})"),
-                _ => write!(f, "_mm_loadu_si128((const __m128i*){ptr})"),
-            },
-            Arch::Avx256 => match dtype {
-                DataType::F32 => write!(f, "_mm256_loadu_ps({ptr})"),
-                DataType::F64 => write!(f, "_mm256_loadu_pd({ptr})"),
-                _ => write!(f, "_mm256_loadu_si256((const __m256i*){ptr})"),
-            },
-        })
-    }
-
-    /// The C statement storing vector register `reg` to `ptr`.
-    pub fn store_stmt<P: fmt::Display, R: fmt::Display>(
-        self,
-        dtype: DataType,
-        ptr: P,
-        reg: R,
-    ) -> impl fmt::Display {
-        fmt::from_fn(move |f| match self {
-            Arch::Neon128 => write!(f, "vst1q_{}({}, {});", Self::neon_suffix(dtype), ptr, reg),
-            Arch::Sse128 => match dtype {
-                DataType::F32 => write!(f, "_mm_storeu_ps({ptr}, {reg});"),
-                DataType::F64 => write!(f, "_mm_storeu_pd({ptr}, {reg});"),
-                _ => write!(f, "_mm_storeu_si128((__m128i*){ptr}, {reg});"),
-            },
-            Arch::Avx256 => match dtype {
-                DataType::F32 => write!(f, "_mm256_storeu_ps({ptr}, {reg});"),
-                DataType::F64 => write!(f, "_mm256_storeu_pd({ptr}, {reg});"),
-                _ => write!(f, "_mm256_storeu_si256((__m256i*){ptr}, {reg});"),
-            },
-        })
+    /// The C call that stores one vector register, up to its pointer
+    /// argument (`vst1q_s32(`, `_mm_storeu_si128((__m128i*)`): the store of
+    /// `v` to `&x[i]` is this, then `&x[i], v);`.
+    pub const fn store_call(self, dtype: DataType) -> &'static str {
+        use DataType::*;
+        match (self, dtype) {
+            (Arch::Neon128, I8) => "vst1q_s8(",
+            (Arch::Neon128, I16) => "vst1q_s16(",
+            (Arch::Neon128, I32) => "vst1q_s32(",
+            (Arch::Neon128, I64) => "vst1q_s64(",
+            (Arch::Neon128, U8) => "vst1q_u8(",
+            (Arch::Neon128, U16) => "vst1q_u16(",
+            (Arch::Neon128, U32) => "vst1q_u32(",
+            (Arch::Neon128, U64) => "vst1q_u64(",
+            (Arch::Neon128, F32) => "vst1q_f32(",
+            (Arch::Neon128, F64) => "vst1q_f64(",
+            (Arch::Sse128, F32) => "_mm_storeu_ps(",
+            (Arch::Sse128, F64) => "_mm_storeu_pd(",
+            (Arch::Sse128, _) => "_mm_storeu_si128((__m128i*)",
+            (Arch::Avx256, F32) => "_mm256_storeu_ps(",
+            (Arch::Avx256, F64) => "_mm256_storeu_pd(",
+            (Arch::Avx256, _) => "_mm256_storeu_si256((__m256i*)",
+        }
     }
 
     /// The C scalar element type name (`int32_t`, `float`, …), shared by all
@@ -195,7 +189,6 @@ mod tests {
         assert_eq!(Arch::Neon128.vector_type(DataType::I32), "int32x4_t");
         assert_eq!(Arch::Neon128.vector_type(DataType::F32), "float32x4_t");
         assert_eq!(Arch::Neon128.vector_type(DataType::U8), "uint8x16_t");
-        assert_eq!(Arch::neon_suffix(DataType::U16), "u16");
     }
 
     #[test]
@@ -207,29 +200,26 @@ mod tests {
 
     #[test]
     fn load_store_spelling() {
-        let load = |a: Arch, d| a.load_expr(d, "p").to_string();
-        let store = |a: Arch, d| a.store_stmt(d, "p", "v").to_string();
-        assert_eq!(load(Arch::Neon128, DataType::I32), "vld1q_s32(p)");
-        assert_eq!(store(Arch::Neon128, DataType::F32), "vst1q_f32(p, v);");
-        assert_eq!(load(Arch::Sse128, DataType::F32), "_mm_loadu_ps(p)");
-        assert_eq!(load(Arch::Sse128, DataType::F64), "_mm_loadu_pd(p)");
+        let load = |a: Arch, d| a.load_call(d);
+        let store = |a: Arch, d| a.store_call(d);
+        assert_eq!(load(Arch::Neon128, DataType::I32), "vld1q_s32(");
+        assert_eq!(store(Arch::Neon128, DataType::F32), "vst1q_f32(");
+        assert_eq!(load(Arch::Sse128, DataType::F32), "_mm_loadu_ps(");
+        assert_eq!(load(Arch::Sse128, DataType::F64), "_mm_loadu_pd(");
         assert_eq!(
             load(Arch::Sse128, DataType::I16),
-            "_mm_loadu_si128((const __m128i*)p)"
+            "_mm_loadu_si128((const __m128i*)"
         );
-        assert_eq!(store(Arch::Sse128, DataType::F64), "_mm_storeu_pd(p, v);");
+        assert_eq!(store(Arch::Sse128, DataType::F64), "_mm_storeu_pd(");
         assert_eq!(
             store(Arch::Sse128, DataType::I32),
-            "_mm_storeu_si128((__m128i*)p, v);"
+            "_mm_storeu_si128((__m128i*)"
         );
         assert_eq!(
             load(Arch::Avx256, DataType::U8),
-            "_mm256_loadu_si256((const __m256i*)p)"
+            "_mm256_loadu_si256((const __m256i*)"
         );
-        assert_eq!(
-            store(Arch::Avx256, DataType::F32),
-            "_mm256_storeu_ps(p, v);"
-        );
+        assert_eq!(store(Arch::Avx256, DataType::F32), "_mm256_storeu_ps(");
     }
 
     #[test]
