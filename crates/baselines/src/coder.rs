@@ -124,15 +124,11 @@ impl SimulinkCoderGen {
                 DfgInput::Node(_) => unreachable!("probe tree has no node leaves"),
             })
             .collect();
-        let src_names: Vec<String> = srcs
+        let src_names: Vec<&str> = srcs
             .iter()
-            .map(|r| ctx.prog.reg_names[r.0].clone())
+            .map(|r| ctx.prog.reg_names[r.0].as_str())
             .collect();
-        let code = instr.render(
-            &src_names,
-            &ctx.prog.reg_names[dst.0].clone(),
-            matched.shift_amount,
-        );
+        let code = instr.render(&src_names, &ctx.prog.reg_names[dst.0], matched.shift_amount);
         body.push(Stmt::VOp {
             instr: instr.name.clone(),
             pattern: hcg_core::batch::concretize(&instr.pattern, matched.shift_amount),

@@ -522,13 +522,13 @@ pub fn emit_region_plan(
                 DfgInput::Node(n) => node_regs[n],
             })
             .collect();
-        let src_names: Vec<String> = srcs
+        let src_names: Vec<&str> = srcs
             .iter()
-            .map(|r| ctx.prog.reg_names[r.0].clone())
+            .map(|r| ctx.prog.reg_names[r.0].as_str())
             .collect();
         let code = step.instr.render(
             &src_names,
-            &ctx.prog.reg_names[dst.0].clone(),
+            &ctx.prog.reg_names[dst.0],
             step.matched.shift_amount,
         );
         body.push(Stmt::VOp {

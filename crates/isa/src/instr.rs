@@ -8,7 +8,7 @@
 use crate::arch::Arch;
 use crate::pattern::Pattern;
 use hcg_model::DataType;
-use std::fmt;
+use std::fmt::{self, Write};
 
 /// One SIMD instruction available for selection by Algorithm 2.
 #[derive(Debug, Clone, PartialEq)]
@@ -40,11 +40,11 @@ impl SimdInstr {
     /// let set = sets::builtin(Arch::Neon128);
     /// let vadd = set.find("vaddq_s32").unwrap();
     /// assert_eq!(
-    ///     vadd.render(&["a_batch".into(), "b_batch".into()], "c_batch", 0),
+    ///     vadd.render(&["a_batch", "b_batch"], "c_batch", 0),
     ///     "c_batch = vaddq_s32(a_batch, b_batch);"
     /// );
     /// ```
-    pub fn render(&self, inputs: &[String], output: &str, shift_amount: u32) -> String {
+    pub fn render(&self, inputs: &[&str], output: &str, shift_amount: u32) -> String {
         let mut out = String::with_capacity(self.code.len() + 16);
         let bytes = self.code.as_bytes();
         let mut i = 0;
@@ -64,17 +64,12 @@ impl SimdInstr {
                     if kind == b'O' {
                         out.push_str(output);
                     } else {
-                        out.push_str(
-                            inputs
-                                .get(idx - 1)
-                                .map(String::as_str)
-                                .unwrap_or("/*missing*/"),
-                        );
+                        out.push_str(inputs.get(idx - 1).copied().unwrap_or("/*missing*/"));
                     }
                     i = j;
                 }
                 b'#' if i + 1 < bytes.len() && bytes[i + 1] == b'A' => {
-                    out.push_str(&shift_amount.to_string());
+                    write!(out, "{shift_amount}").expect("writing to a String cannot fail");
                     i += 2;
                 }
                 c => {
@@ -185,10 +180,7 @@ mod tests {
     #[test]
     fn render_substitutes_io() {
         let i = vadd();
-        assert_eq!(
-            i.render(&["x".into(), "y".into()], "z", 0),
-            "z = vaddq_s32(x, y);"
-        );
+        assert_eq!(i.render(&["x", "y"], "z", 0), "z = vaddq_s32(x, y);");
     }
 
     #[test]
@@ -201,7 +193,7 @@ mod tests {
             code: "O1 = vshlq_n_s32(I1, #A);".into(),
             cost: 1,
         };
-        assert_eq!(shl.render(&["x".into()], "y", 3), "y = vshlq_n_s32(x, 3);");
+        assert_eq!(shl.render(&["x"], "y", 3), "y = vshlq_n_s32(x, 3);");
     }
 
     #[test]
@@ -216,7 +208,7 @@ mod tests {
             code: "O1 = vI1x(I1);".into(),
             cost: 1,
         };
-        assert_eq!(odd.render(&["a".into()], "b", 0), "b = vI1x(a);");
+        assert_eq!(odd.render(&["a"], "b", 0), "b = vI1x(a);");
     }
 
     #[test]

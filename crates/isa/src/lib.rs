@@ -15,7 +15,7 @@
 //! let mla = neon.find("vmlaq_s32").expect("NEON has multiply-accumulate");
 //! assert_eq!(mla.pattern.to_string(), "Add(I1, Mul(I2, I3))");
 //! assert_eq!(
-//!     mla.render(&["acc".into(), "x".into(), "y".into()], "out", 0),
+//!     mla.render(&["acc", "x", "y"], "out", 0),
 //!     "out = vmlaq_s32(acc, x, y);"
 //! );
 //! ```
