@@ -232,7 +232,9 @@ pub struct ShardedCache<S: ArtifactStore> {
 impl<S: ArtifactStore> ShardedCache<S> {
     /// A cache of `shards` shards, each holding at most `budget_per_shard`
     /// payload bytes, preloading any artifacts `store` already persists.
-    /// `shards` is clamped to at least 1.
+    /// Preloaded artifacts are held within the same budget but not
+    /// persisted again: the store already has them. `shards` is clamped to
+    /// at least 1.
     pub fn new(shards: usize, budget_per_shard: usize, store: S) -> Self {
         let cache = ShardedCache {
             shards: (0..shards.max(1)).map(|_| Mutex::default()).collect(),
@@ -240,24 +242,14 @@ impl<S: ArtifactStore> ShardedCache<S> {
             budget_per_shard,
         };
         for (key, outcome) in cache.store.preload() {
-            cache.admit(key, outcome);
+            cache.insert(key, outcome, false);
         }
         cache
     }
 
-    fn shard(&self, key: ContentKey) -> std::sync::MutexGuard<'_, Shard> {
-        self.shards[key.shard(self.shards.len())]
-            .lock()
-            .expect("cache shard poisoned")
-    }
-}
-
-impl<S: ArtifactStore> ArtifactProvider for ShardedCache<S> {
-    fn fetch(&self, key: ContentKey) -> Option<Outcome> {
-        self.shard(key).index.get(&key).cloned()
-    }
-
-    fn admit(&self, key: ContentKey, outcome: Outcome) -> AdmitReport {
+    /// Insert `outcome` under `key` unless present, evicting LRU entries
+    /// as needed, and hand it to the store first when `persist` is set.
+    fn insert(&self, key: ContentKey, outcome: Outcome, persist: bool) -> AdmitReport {
         let bytes = outcome.byte_len();
         let mut shard = self.shard(key);
         if shard.index.contains_key(&key) {
@@ -280,10 +272,28 @@ impl<S: ArtifactStore> ArtifactProvider for ShardedCache<S> {
             report.evicted_bytes += evicted.byte_len() as u64;
             self.store.discard(victim);
         }
-        self.store.persist(key, &outcome);
+        if persist {
+            self.store.persist(key, &outcome);
+        }
         shard.bytes += bytes;
         shard.index.insert(key, outcome);
         report
+    }
+
+    fn shard(&self, key: ContentKey) -> std::sync::MutexGuard<'_, Shard> {
+        self.shards[key.shard(self.shards.len())]
+            .lock()
+            .expect("cache shard poisoned")
+    }
+}
+
+impl<S: ArtifactStore> ArtifactProvider for ShardedCache<S> {
+    fn fetch(&self, key: ContentKey) -> Option<Outcome> {
+        self.shard(key).index.get(&key).cloned()
+    }
+
+    fn admit(&self, key: ContentKey, outcome: Outcome) -> AdmitReport {
+        self.insert(key, outcome, true)
     }
 
     fn entries(&self) -> usize {
@@ -371,6 +381,34 @@ mod tests {
         fn preload(&self) -> Vec<(ContentKey, Outcome)> {
             Vec::new()
         }
+    }
+
+    /// A memory-only store that preloads three artifacts and counts every
+    /// `persist`.
+    #[derive(Default)]
+    struct PersistCount(Mutex<usize>);
+
+    impl ArtifactStore for &PersistCount {
+        fn persist(&self, _key: ContentKey, _outcome: &Outcome) {
+            *self.0.lock().unwrap() += 1;
+        }
+        fn discard(&self, _key: ContentKey) {}
+        fn preload(&self) -> Vec<(ContentKey, Outcome)> {
+            (1..=3).map(|n| (key(n), ok("warm"))).collect()
+        }
+    }
+
+    #[test]
+    fn a_warm_start_holds_its_preloaded_artifacts_without_persisting_them() {
+        let store = PersistCount::default();
+        let cache = ShardedCache::new(1, 1 << 20, &store);
+        assert_eq!(*store.0.lock().unwrap(), 0);
+        assert_eq!(cache.entries(), 3);
+        for n in 1..=3 {
+            assert_eq!(cache.fetch(key(n)).unwrap().text(), "warm");
+        }
+        cache.admit(key(4), ok("cold"));
+        assert_eq!(*store.0.lock().unwrap(), 1, "a new artifact is persisted");
     }
 
     #[test]
