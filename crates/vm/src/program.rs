@@ -69,20 +69,6 @@ impl IndexExpr {
     }
 }
 
-/// C source, with `i` as the loop variable name.
-impl fmt::Display for IndexExpr {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            IndexExpr::Const(c) => c.fmt(f),
-            IndexExpr::Loop(0) => f.write_str("i"),
-            IndexExpr::Loop(off) => {
-                f.write_str("i + ")?;
-                off.fmt(f)
-            }
-        }
-    }
-}
-
 /// A reference to one element of one buffer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ElemRef {
@@ -449,12 +435,9 @@ mod tests {
     }
 
     #[test]
-    fn index_expr_eval_and_render() {
+    fn index_expr_eval() {
         assert_eq!(IndexExpr::Const(3).eval(10), 3);
         assert_eq!(IndexExpr::Loop(2).eval(10), 12);
-        assert_eq!(IndexExpr::Loop(0).to_string(), "i");
-        assert_eq!(IndexExpr::Loop(4).to_string(), "i + 4");
-        assert_eq!(IndexExpr::Const(7).to_string(), "7");
     }
 
     #[test]
