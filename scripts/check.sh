@@ -34,12 +34,15 @@ CARGO_TARGET_DIR=.bench_build cargo run -q --release --offline --locked \
 tail -n 1 target/ledger-smoke.txt | grep -q '"correct": true'
 tail -n 1 target/ledger-smoke.txt | grep -q '"failed": 0,'
 
-echo "==> ledger edit-replay smoke (one short traced run: whole-Program edit oracle over the data-patch path, no op fails)"
+echo "==> ledger edit-replay smoke (one short traced run: whole-Program edit oracle over the data-patch path, no op fails, emit makes one buffer per program)"
 CARGO_TARGET_DIR=.bench_build cargo run -q --release --offline --locked \
     --manifest-path ledger/Cargo.toml -- run --workload edit-replay --seed 1 \
     --seconds 2 --trace 1 --out target/ledger-smoke > target/ledger-edit-smoke.txt
 tail -n 1 target/ledger-edit-smoke.txt | grep -q '"correct": true'
 tail -n 1 target/ledger-edit-smoke.txt | grep -q '"failed": 0,'
+tail -n 1 target/ledger-edit-smoke.txt \
+    | grep -oE '"core\.emit\.allocs_per_op": \{"value": [0-9.]+' \
+    | awk '{ v = $NF } END { exit !(NR > 0 && v <= 2) }'
 
 echo "==> ledger paper-cold smoke (one short traced run over every paper model: C digests match, the VM-vs-reference oracle holds, no op fails)"
 CARGO_TARGET_DIR=.bench_build cargo run -q --release --offline --locked \
